@@ -87,13 +87,13 @@ main(int argc, char** argv)
     cfg.batch_size = quick ? 16384 : 262144;
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     // Differential gate: the async path must be bit-identical to the
     // blocking reader before any timing is reported.
     ColumnarFileReader blocking;
     RowBatch expect;
-    if (!blocking.open(encoded).ok() ||
+    if (!blocking.open(*encoded).ok() ||
         !blocking.readAllInto(expect).ok()) {
         std::fprintf(stderr, "blocking read failed\n");
         return 1;
@@ -103,7 +103,7 @@ main(int argc, char** argv)
         IoRing ring;  // simulation mode: no sleeps for the check
         AsyncPartitionReader reader(ring);
         RowBatch got;
-        if (!reader.read(encoded, 0, got).ok() || !(got == expect)) {
+        if (!reader.read(*encoded, 0, got).ok() || !(got == expect)) {
             std::fprintf(stderr,
                          "differential check failed: async != blocking\n");
             return 1;
@@ -128,7 +128,7 @@ main(int argc, char** argv)
             IoRing ring(opt);
             RowBatch got;
             AsyncReadStats rs;
-            const double wall = timedRead(ring, depth, encoded, got, rs);
+            const double wall = timedRead(ring, depth, *encoded, got, rs);
             if (wall < p.wall_sec) {
                 p.wall_sec = wall;
                 p.storage_sec = rs.modeled_storage_sec;
@@ -162,7 +162,7 @@ main(int argc, char** argv)
             AsyncReadOptions ropt;
             ropt.queue_depth = 1;
             AsyncPartitionReader reader(ring, ropt);
-            if (!reader.read(store.partition(pid), pid, parts[pid])
+            if (!reader.read(*store.partition(pid), pid, parts[pid])
                      .ok()) {
                 std::fprintf(stderr, "serial read failed\n");
                 return 1;
@@ -186,7 +186,7 @@ main(int argc, char** argv)
                 AsyncPartitionReader reader(ring, ropt);
                 reader.setDecodePool(&pool);
                 RowBatch got;
-                if (!reader.read(store.partition(pid), pid, got).ok() ||
+                if (!reader.read(*store.partition(pid), pid, got).ok() ||
                     !(got == parts[pid]))
                     failed = true;
             });
@@ -270,7 +270,7 @@ main(int argc, char** argv)
                 "  \"partition\": {\"rows\": %zu, \"bytes\": %zu, "
                 "\"pages\": %zu},\n",
                 quick ? "true" : "false",
-                static_cast<size_t>(cfg.batch_size), encoded.size(),
+                static_cast<size_t>(cfg.batch_size), encoded->size(),
                 pages);
     std::printf("  \"queue_depth_sweep\": [\n");
     for (size_t i = 0; i < sweep.size(); ++i) {

@@ -7,7 +7,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "io/async_reader.h"
 #include "models/calibration.h"
 #include "models/cpu_model.h"
 #include "models/gpu_model.h"
@@ -119,121 +118,30 @@ PreprocessManager::claimPartition(uint64_t& id)
     return true;
 }
 
-namespace {
-
-/** Fetch+decode attempts before a partition is declared unrecoverable. */
-constexpr uint64_t kMaxFetchAttempts = 16;
-
-}  // namespace
-
 void
-PreprocessManager::fetchDecode(uint64_t id, ColumnarFileReader& reader,
-                               DecodedPartition& dp)
+PreprocessManager::produce(PartitionProducer& producer, uint64_t id,
+                           DecodedPartition& dp)
 {
     // Extract: fetch the encoded partition from the (local) SSD and
     // decode it. In Disagg mode the encoded bytes crossed the
     // datacenter network first; in PreSto mode they moved SSD->FPGA
-    // over the device-internal P2P path. Under fault injection a
-    // fetch can fail transiently (retried) or deliver bit-flipped
-    // bytes — caught by the PSF page CRCs and answered by
-    // re-fetching the partition.
-    dp.raw_bytes = 0;
-    dp.bytes_touched = 0;
-    dp.transient_errors = 0;
-    dp.corrupt_refetches = 0;
-    if (!store_.faultInjectionEnabled()) {
-        const auto& encoded = store_.partition(id);
-        Status st = reader.open(encoded);
-        PRESTO_CHECK(st.ok(), "partition ", id, " unreadable: ",
-                     st.toString());
-        st = reader.readAllInto(dp.batch);
-        PRESTO_CHECK(st.ok(), "partition ", id, " corrupt: ",
-                     st.toString());
-        dp.raw_bytes = encoded.size();
-        dp.bytes_touched = reader.bytesTouched();
-        return;
-    }
-    bool recovered = false;
-    for (uint64_t attempt = 0; attempt < kMaxFetchAttempts; ++attempt) {
-        auto fetched = store_.fetchPartition(id, attempt);
-        if (!fetched.ok()) {
-            PRESTO_CHECK(fetched.status().code() ==
-                             StatusCode::kUnavailable,
-                         "partition ", id, " unreadable: ",
-                         fetched.status().toString());
-            ++dp.transient_errors;
-            continue;
-        }
-        Status st = reader.open(*fetched);
-        if (st.ok())
-            st = reader.readAllInto(dp.batch);
-        if (!st.ok()) {
-            PRESTO_CHECK(st.code() == StatusCode::kCorruption,
-                         "partition ", id, " unreadable: ", st.toString());
-            ++dp.corrupt_refetches;
-            continue;
-        }
-        dp.raw_bytes = fetched->size();
-        dp.bytes_touched = reader.bytesTouched();
-        recovered = true;
-        break;
-    }
-    PRESTO_CHECK(recovered, "partition ", id, " unrecoverable after ",
-                 kMaxFetchAttempts, " fetch attempts");
+    // over the device-internal P2P path.
+    Status st = producer.produce(store_, id, dp.batch);
+    PRESTO_CHECK(st.ok(), "partition ", id, " unreadable: ",
+                 st.toString());
+    dp.stats = producer.lastStats();
 }
 
-void
-PreprocessManager::fetchDecodeAsync(uint64_t id,
-                                    AsyncPartitionReader& reader,
-                                    DecodedPartition& dp)
-{
-    // Extract over the ring: page frames of the partition stream
-    // through the IoRing and decode as they complete, so decode of
-    // page k overlaps the modeled storage latency of the pages behind
-    // it. Faults act on individual in-flight reads — transient errors
-    // and timeouts retry inside the ring with backoff, and a CRC-caught
-    // bit flip re-reads just that page instead of refetching the whole
-    // partition as the blocking path does.
-    //
-    // With persistence enabled the partition lives in the on-disk
-    // segment store, and every page frame arrives through a real
-    // pread issued by the ring's device workers — the cold-read path —
-    // with identical retry and CRC semantics.
-    SegmentStore* segments = store_.segmentStore();
-    if (segments != nullptr) {
-        auto sid = store_.persistPartition(id);
-        PRESTO_CHECK(sid.ok(), "partition ", id,
-                     " not persistable: ", sid.status().toString());
-        Status st = segments->readSegment(*sid, reader, dp.batch);
-        PRESTO_CHECK(st.ok(), "segment ", *sid, " of partition ", id,
-                     " unreadable: ", st.toString());
-        const AsyncReadStats& rs = reader.lastReadStats();
-        dp.raw_bytes = reader.reader().totalDataBytes();
-        dp.bytes_touched = reader.reader().bytesTouched();
-        dp.transient_errors = rs.device_retries;
-        dp.corrupt_refetches = rs.corrupt_page_rereads;
-        return;
-    }
-    const auto& encoded = store_.partition(id);
-    Status st = reader.read(encoded, id, dp.batch);
-    PRESTO_CHECK(st.ok(), "partition ", id,
-                 " unrecoverable over async ring: ", st.toString());
-    const AsyncReadStats& rs = reader.lastReadStats();
-    dp.raw_bytes = encoded.size();
-    dp.bytes_touched = reader.reader().bytesTouched();
-    dp.transient_errors = rs.device_retries;
-    dp.corrupt_refetches = rs.corrupt_page_rereads;
-}
-
-std::unique_ptr<MiniBatch>
-PreprocessManager::takeRecycledBatch()
+template <typename T>
+std::unique_ptr<T>
+PreprocessManager::takeFree(std::vector<std::unique_ptr<T>>& free)
 {
     std::unique_lock lock(mu_);
-    if (free_batches_.empty())
-        return nullptr;
-    auto mb = std::move(free_batches_.back());
-    free_batches_.pop_back();
-    return mb;
+    if (free.empty())
+        return std::make_unique<T>();
+    auto item = std::move(free.back());
+    free.pop_back();
+    return item;
 }
 
 void
@@ -241,9 +149,7 @@ PreprocessManager::transformAndDeliver(DecodedPartition& dp,
                                        BatchArena& arena)
 {
     // Transform: the full operator pipeline, into a recycled batch.
-    auto mb = takeRecycledBatch();
-    if (mb == nullptr)
-        mb = std::make_unique<MiniBatch>();
+    auto mb = takeFree(free_batches_);
     preprocessor_.preprocessInto(dp.batch, *mb, arena);
     const uint64_t tensor_bytes = mb->byteSize();
 
@@ -254,14 +160,14 @@ PreprocessManager::transformAndDeliver(DecodedPartition& dp,
     if (stopping_)
         return;
     if (mode_ == PreprocessMode::kDisaggCpu) {
-        stats_.raw_bytes_over_network += dp.raw_bytes;
+        stats_.raw_bytes_over_network += dp.stats.raw_bytes;
     } else {
-        stats_.raw_bytes_p2p += dp.raw_bytes;
+        stats_.raw_bytes_p2p += dp.stats.raw_bytes;
     }
     stats_.tensor_bytes_over_network += tensor_bytes;
-    stats_.columnar_bytes_touched += dp.bytes_touched;
-    stats_.transient_read_errors += dp.transient_errors;
-    stats_.corrupt_partition_refetches += dp.corrupt_refetches;
+    stats_.columnar_bytes_touched += dp.stats.bytes_touched;
+    stats_.transient_read_errors += dp.stats.transient_errors;
+    stats_.corrupt_partition_refetches += dp.stats.corrupt_refetches;
     queue_.push_back(std::move(mb));
     lock.unlock();
     queue_not_empty_.notify_one();
@@ -272,23 +178,12 @@ PreprocessManager::workerLoop()
 {
     // Unstaged (seed) schedule: each worker alternates Extract and
     // Transform, but with the device-style persistent decode buffers.
-    ColumnarFileReader reader;
-    reader.setThreadPool(decode_pool_);
-    std::unique_ptr<AsyncPartitionReader> async;
-    if (io_ring_ != nullptr) {
-        async = std::make_unique<AsyncPartitionReader>(*io_ring_);
-        async->setDecodePool(decode_pool_);
-    }
+    PartitionProducer producer(decode_pool_, io_ring_);
     BatchArena arena;
     DecodedPartition dp;
-    for (;;) {
-        uint64_t pid = 0;
-        if (!claimPartition(pid))
-            return;
-        if (async != nullptr)
-            fetchDecodeAsync(pid, *async, dp);
-        else
-            fetchDecode(pid, reader, dp);
+    uint64_t pid = 0;
+    while (claimPartition(pid)) {
+        produce(producer, pid, dp);
         transformAndDeliver(dp, arena);
     }
 }
@@ -296,29 +191,11 @@ PreprocessManager::workerLoop()
 void
 PreprocessManager::fetchLoop()
 {
-    ColumnarFileReader reader;
-    reader.setThreadPool(decode_pool_);
-    std::unique_ptr<AsyncPartitionReader> async;
-    if (io_ring_ != nullptr) {
-        async = std::make_unique<AsyncPartitionReader>(*io_ring_);
-        async->setDecodePool(decode_pool_);
-    }
+    PartitionProducer producer(decode_pool_, io_ring_);
     uint64_t pid = 0;
     while (claimPartition(pid)) {
-        std::unique_ptr<DecodedPartition> dp;
-        {
-            std::unique_lock lock(mu_);
-            if (!free_shells_.empty()) {
-                dp = std::move(free_shells_.back());
-                free_shells_.pop_back();
-            }
-        }
-        if (dp == nullptr)
-            dp = std::make_unique<DecodedPartition>();
-        if (async != nullptr)
-            fetchDecodeAsync(pid, *async, *dp);
-        else
-            fetchDecode(pid, reader, *dp);
+        std::unique_ptr<DecodedPartition> dp = takeFree(free_shells_);
+        produce(producer, pid, *dp);
 
         bool stopped = false;
         {

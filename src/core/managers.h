@@ -19,8 +19,8 @@
 #include <thread>
 #include <vector>
 
-#include "columnar/columnar_file.h"
 #include "common/batch_arena.h"
+#include "core/partition_producer.h"
 #include "core/partition_store.h"
 #include "datagen/rm_config.h"
 #include "ops/preprocessor.h"
@@ -29,7 +29,6 @@
 
 namespace presto {
 
-class AsyncPartitionReader;
 class IoRing;
 
 /** Where preprocessing executes (determines data movement accounting). */
@@ -120,27 +119,22 @@ class PreprocessManager
     /** One fetched+decoded partition moving between pipeline stages. */
     struct DecodedPartition {
         RowBatch batch;
-        uint64_t raw_bytes = 0;       ///< encoded partition size
-        uint64_t bytes_touched = 0;   ///< columnar bytes read to decode
-        uint64_t transient_errors = 0;
-        uint64_t corrupt_refetches = 0;
+        ProduceStats stats;
     };
 
     void workerLoop();
     void fetchLoop();
     void transformLoop();
     bool claimPartition(uint64_t& id);
-    /** Fetch + decode partition @p id with the seed's fault-retry
-     * semantics, reusing @p reader and dp.batch buffers. */
-    void fetchDecode(uint64_t id, ColumnarFileReader& reader,
-                     DecodedPartition& dp);
-    /** Async-ring variant of fetchDecode: page-granular reads via
-     * @p reader's IoRing, fault handling inside the ring. */
-    void fetchDecodeAsync(uint64_t id, AsyncPartitionReader& reader,
-                          DecodedPartition& dp);
+    /** Fetch + decode partition @p id through @p producer; a partition
+     * the producer cannot recover is fatal. */
+    void produce(PartitionProducer& producer, uint64_t id,
+                 DecodedPartition& dp);
     /** Transform + enqueue one decoded partition; returns its shell. */
     void transformAndDeliver(DecodedPartition& dp, BatchArena& arena);
-    std::unique_ptr<MiniBatch> takeRecycledBatch();
+    /** Pop a recycled object off @p free (fresh when empty). */
+    template <typename T>
+    std::unique_ptr<T> takeFree(std::vector<std::unique_ptr<T>>& free);
 
     RmConfig config_;
     PartitionStore& store_;

@@ -8,21 +8,14 @@ PartitionStore::PartitionStore(const RawDataGenerator& generator,
 {
 }
 
-const std::vector<uint8_t>&
+PartitionBuffer
 PartitionStore::partition(uint64_t partition_id)
 {
     std::scoped_lock lock(mu_);
     return partitionLocked(partition_id);
 }
 
-std::vector<uint8_t>
-PartitionStore::partitionCopy(uint64_t partition_id)
-{
-    std::scoped_lock lock(mu_);
-    return partitionLocked(partition_id);
-}
-
-const std::vector<uint8_t>&
+const PartitionBuffer&
 PartitionStore::partitionLocked(uint64_t partition_id)
 {
     auto it = partitions_.find(partition_id);
@@ -32,15 +25,20 @@ PartitionStore::partitionLocked(uint64_t partition_id)
     return insertCacheLocked(partition_id, writer_.write(raw, partition_id));
 }
 
-const std::vector<uint8_t>&
+const PartitionBuffer&
 PartitionStore::insertCacheLocked(uint64_t partition_id,
                                   std::vector<uint8_t> bytes)
 {
-    auto it = partitions_.emplace(partition_id, std::move(bytes)).first;
+    auto it = partitions_
+                  .emplace(partition_id,
+                           std::make_shared<const std::vector<uint8_t>>(
+                               std::move(bytes)))
+                  .first;
     cache_order_.push_back(partition_id);
-    cached_bytes_ += it->second.size();
+    cached_bytes_ += it->second->size();
     // Evict oldest entries past the budget — but never the one just
-    // requested, whose reference we are about to return.
+    // requested, so it stays cached for its next access. Readers
+    // holding an evicted buffer keep it alive.
     while (cache_budget_bytes_ > 0 &&
            cached_bytes_ > cache_budget_bytes_ &&
            cache_order_.front() != partition_id) {
@@ -48,7 +46,7 @@ PartitionStore::insertCacheLocked(uint64_t partition_id,
         cache_order_.pop_front();
         if (victim == partitions_.end())
             continue;
-        cached_bytes_ -= victim->second.size();
+        cached_bytes_ -= victim->second->size();
         partitions_.erase(victim);
         ++evictions_;
     }
@@ -83,18 +81,16 @@ PartitionStore::setFaultInjector(const FaultInjector* faults)
     faults_ = (faults != nullptr && faults->enabled()) ? faults : nullptr;
 }
 
-StatusOr<std::vector<uint8_t>>
-PartitionStore::fetchPartition(uint64_t partition_id, uint64_t attempt,
-                               bool* hot_tier_hit)
+StatusOr<PartitionBuffer>
+PartitionStore::fetchShared(uint64_t partition_id, uint64_t attempt,
+                            bool* hot_tier_hit)
 {
     if (hot_tier_hit != nullptr)
         *hot_tier_hit = false;
     // Fault draws key off (partition, attempt) — not thread schedule —
-    // so concurrent workers observe a reproducible fault pattern. The
-    // bytes are copied under the lock: with a cache budget set, a
-    // concurrent materialization may evict this partition at any time.
+    // so concurrent workers observe a reproducible fault pattern.
     const FaultInjector* faults = nullptr;
-    std::vector<uint8_t> bytes;
+    PartitionBuffer bytes;
     {
         std::scoped_lock lock(mu_);
         if (retired_.count(partition_id) != 0) {
@@ -144,9 +140,22 @@ PartitionStore::fetchPartition(uint64_t partition_id, uint64_t attempt,
             std::to_string(partition_id) + " (attempt " +
             std::to_string(attempt) + ")");
     }
-    if (faults->corruptionOccurs(partition_id, attempt))
-        faults->corruptBytes(bytes, partition_id, attempt);
-    return bytes;
+    if (!faults->corruptionOccurs(partition_id, attempt))
+        return bytes;
+    // The flip lands in a private copy; the shared buffer stays pristine.
+    auto flipped = std::make_shared<std::vector<uint8_t>>(*bytes);
+    faults->corruptBytes(*flipped, partition_id, attempt);
+    return PartitionBuffer(std::move(flipped));
+}
+
+StatusOr<std::vector<uint8_t>>
+PartitionStore::fetchPartition(uint64_t partition_id, uint64_t attempt,
+                               bool* hot_tier_hit)
+{
+    auto bytes = fetchShared(partition_id, attempt, hot_tier_hit);
+    if (!bytes.ok())
+        return bytes.status();
+    return **bytes;
 }
 
 void
@@ -161,11 +170,8 @@ void
 PartitionStore::shrinkHotTierLocked()
 {
     const uint64_t budget = hot_budget_bytes_;
-    while (!hot_.empty() && (budget == 0 || hot_bytes_ > budget)) {
-        auto last = std::prev(hot_.end());
-        hot_bytes_ -= last->second.size();
-        hot_.erase(last);
-    }
+    while (!hot_.empty() && (budget == 0 || hot_bytes_ > budget))
+        demoteLocked(hot_.rbegin()->first);
 }
 
 Status
@@ -181,18 +187,18 @@ PartitionStore::promotePartition(uint64_t partition_id)
         return Status::failedPrecondition("hot tier is disabled");
     if (hot_.count(partition_id) != 0)
         return Status::okStatus();
-    // Materializing through the cache keeps hot bytes bit-identical to
-    // what a cold fetch would serve.
-    std::vector<uint8_t> bytes = partitionLocked(partition_id);
-    if (hot_bytes_ + bytes.size() > hot_budget_bytes_) {
+    // The tier shares the cached buffer, so hot bytes are the very
+    // bytes a cold fetch would serve.
+    const PartitionBuffer& bytes = partitionLocked(partition_id);
+    if (hot_bytes_ + bytes->size() > hot_budget_bytes_) {
         return Status::resourceExhausted(
             "hot tier budget exhausted (" +
             std::to_string(hot_bytes_) + " + " +
-            std::to_string(bytes.size()) + " > " +
+            std::to_string(bytes->size()) + " > " +
             std::to_string(hot_budget_bytes_) + " bytes)");
     }
-    hot_bytes_ += bytes.size();
-    hot_.emplace(partition_id, std::move(bytes));
+    hot_bytes_ += bytes->size();
+    hot_.emplace(partition_id, bytes);
     return Status::okStatus();
 }
 
@@ -200,10 +206,16 @@ void
 PartitionStore::demotePartition(uint64_t partition_id)
 {
     std::scoped_lock lock(mu_);
+    demoteLocked(partition_id);
+}
+
+void
+PartitionStore::demoteLocked(uint64_t partition_id)
+{
     auto it = hot_.find(partition_id);
     if (it == hot_.end())
         return;
-    hot_bytes_ -= it->second.size();
+    hot_bytes_ -= it->second->size();
     hot_.erase(it);
 }
 
@@ -257,16 +269,12 @@ PartitionStore::retirePartition(uint64_t partition_id)
             return uint64_t{0};  // already retired
         auto cached = partitions_.find(partition_id);
         if (cached != partitions_.end()) {
-            cached_bytes_ -= cached->second.size();
+            cached_bytes_ -= cached->second->size();
             if (segments_ == nullptr)
-                reclaimed += cached->second.size();
+                reclaimed += cached->second->size();
             partitions_.erase(cached);
         }
-        auto hot = hot_.find(partition_id);
-        if (hot != hot_.end()) {
-            hot_bytes_ -= hot->second.size();
-            hot_.erase(hot);
-        }
+        demoteLocked(partition_id);
         segments = segments_;
     }
     if (segments == nullptr)
@@ -321,16 +329,15 @@ PartitionStore::persistPartition(uint64_t partition_id)
     if (existing.status().code() != StatusCode::kNotFound)
         return existing.status();
     // First touch: encode (or reuse the cached encoding) and commit.
-    // Copied under the lock — the cache may evict it concurrently.
-    const std::vector<uint8_t> encoded = partitionCopy(partition_id);
-    return segments->appendEncoded(encoded, partition_id);
+    const PartitionBuffer encoded = partition(partition_id);
+    return segments->appendEncoded(*encoded, partition_id);
 }
 
 uint64_t
 PartitionStore::partitionBytes(uint64_t partition_id)
 {
     std::scoped_lock lock(mu_);
-    return partitionLocked(partition_id).size();
+    return partitionLocked(partition_id)->size();
 }
 
 size_t
@@ -345,13 +352,6 @@ PartitionStore::faultInjectionEnabled() const
 {
     std::scoped_lock lock(mu_);
     return faults_ != nullptr;
-}
-
-const FaultInjector*
-PartitionStore::faultInjector() const
-{
-    std::scoped_lock lock(mu_);
-    return faults_;
 }
 
 }  // namespace presto

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -25,6 +26,13 @@
 #include "store/segment_store.h"
 
 namespace presto {
+
+/**
+ * Encoded PSF bytes of one partition, held once and shared by the
+ * encoded cache, the hot tier and every reader. Immutable; a holder
+ * keeps the bytes alive across eviction, demotion and retirement.
+ */
+using PartitionBuffer = std::shared_ptr<const std::vector<uint8_t>>;
 
 /** In-memory stand-in for one storage device's partition set. */
 class PartitionStore
@@ -38,12 +46,12 @@ class PartitionStore
                             WriterOptions writer_options = {});
 
     /**
-     * Encoded PSF bytes of a partition (generated on first access).
-     * With a cache budget set, the reference is only guaranteed valid
-     * until the next partition() call on any thread — long-lived
-     * callers should use fetchPartition(), which returns a copy.
+     * Pristine encoded PSF bytes of a partition (generated on first
+     * access), shared with the cache: no fault draw, no tier
+     * accounting, no copy. The returned buffer stays valid for as long
+     * as the caller holds it, whatever the cache evicts meanwhile.
      */
-    const std::vector<uint8_t>& partition(uint64_t partition_id);
+    PartitionBuffer partition(uint64_t partition_id);
 
     /**
      * Bound the encoded-partition cache to @p bytes (0 = unlimited,
@@ -63,18 +71,19 @@ class PartitionStore
     uint64_t evictions() const;
 
     /**
-     * Install a fault injector for fetchPartition (nullptr disables;
-     * the injector must outlive the store). The cached partitions stay
-     * pristine — faults only affect fetched copies.
+     * Install a fault injector for fetchShared (nullptr disables; the
+     * injector must outlive the store). The cached partitions stay
+     * pristine — a bit flip lands in a private copy of the fetch.
      */
     void setFaultInjector(const FaultInjector* faults);
 
     /**
-     * Fetch a copy of the partition the way a preprocessing worker
-     * reads it off the device. With a fault injector installed, the
-     * read can fail transiently (kUnavailable) or deliver bytes with a
-     * bit flipped — which the PSF page CRCs catch downstream, making
-     * this the hook for exercising the corruption-recovery path.
+     * Fetch the partition the way a preprocessing worker reads it off
+     * the device. With a fault injector installed, the read can fail
+     * transiently (kUnavailable) or deliver bytes with a bit flipped —
+     * which the PSF page CRCs catch downstream, making this the hook
+     * for exercising the corruption-recovery path. The result shares
+     * the cached buffer; only an injected bit flip copies.
      *
      * Tiering: a partition resident in the hot memory tier (see
      * promotePartition) is served straight from memory — no device
@@ -82,13 +91,20 @@ class PartitionStore
      * other fetch is a cold fetch: served from the encoded cache when
      * present, re-read from the backing segment store (persistent
      * mode, counted in diskReads()) or re-materialized from the
-     * generator otherwise. A retired partition is kNotFound.
+     * generator otherwise. A segment failing its CRC is quarantined and
+     * the fetch is kCorruption; the next attempt re-materializes the
+     * same bytes from the generator. A retired partition is kNotFound.
      *
      * @param attempt Retry ordinal of this fetch (0 = first try);
      *        part of the deterministic fault-draw identity.
      * @param hot_tier_hit Optional: set to whether this fetch was
      *        served from the hot tier.
      */
+    StatusOr<PartitionBuffer> fetchShared(uint64_t partition_id,
+                                          uint64_t attempt = 0,
+                                          bool* hot_tier_hit = nullptr);
+
+    /** fetchShared() into a private copy of the bytes. */
     StatusOr<std::vector<uint8_t>> fetchPartition(
         uint64_t partition_id, uint64_t attempt = 0,
         bool* hot_tier_hit = nullptr);
@@ -110,9 +126,10 @@ class PartitionStore
     void setHotTierBudget(uint64_t bytes);
 
     /**
-     * Pin @p partition_id's encoded bytes into the hot tier.
-     * kResourceExhausted when the budget cannot hold it (callers stop
-     * promoting the rest of the epoch); ok and idempotent otherwise.
+     * Pin @p partition_id's encoded bytes into the hot tier; the tier
+     * shares the cached buffer. kResourceExhausted when the budget
+     * cannot hold it (callers stop promoting the rest of the epoch); ok
+     * and idempotent otherwise.
      */
     Status promotePartition(uint64_t partition_id);
 
@@ -159,13 +176,6 @@ class PartitionStore
     /** True when a fault injector is installed and active. */
     bool faultInjectionEnabled() const;
 
-    /**
-     * The installed fault injector (nullptr when none is active). The
-     * async read path hands this to an IoRing so page-granular reads
-     * draw from the same deterministic fault oracle as fetchPartition.
-     */
-    const FaultInjector* faultInjector() const;
-
     const RawDataGenerator& generator() const { return generator_; }
 
     /**
@@ -191,30 +201,28 @@ class PartitionStore
 
   private:
     /** Materialize (if needed) and return @p partition_id; mu_ held. */
-    const std::vector<uint8_t>& partitionLocked(uint64_t partition_id);
+    const PartitionBuffer& partitionLocked(uint64_t partition_id);
     /** Insert freshly obtained encoded bytes into the cache and evict
         past the budget; mu_ held. Returns the cached entry. */
-    const std::vector<uint8_t>& insertCacheLocked(
-        uint64_t partition_id, std::vector<uint8_t> bytes);
-    /** Copy of the encoded bytes, taken while holding mu_ — safe
-        against concurrent eviction, unlike the reference from
-        partition(). */
-    std::vector<uint8_t> partitionCopy(uint64_t partition_id);
+    const PartitionBuffer& insertCacheLocked(uint64_t partition_id,
+                                             std::vector<uint8_t> bytes);
     /** Demote hot entries (largest id first) until the tier fits its
         budget; mu_ held. */
     void shrinkHotTierLocked();
+    /** Drop @p partition_id from the hot tier if present; mu_ held. */
+    void demoteLocked(uint64_t partition_id);
 
     const RawDataGenerator& generator_;
     ColumnarFileWriter writer_;
     const FaultInjector* faults_ = nullptr;
     SegmentStore* segments_ = nullptr;
     mutable std::mutex mu_;
-    std::map<uint64_t, std::vector<uint8_t>> partitions_;
+    std::map<uint64_t, PartitionBuffer> partitions_;
     std::deque<uint64_t> cache_order_;  ///< insertion order for eviction
     uint64_t cache_budget_bytes_ = 0;   ///< 0 = unlimited
     uint64_t cached_bytes_ = 0;
     uint64_t evictions_ = 0;
-    std::map<uint64_t, std::vector<uint8_t>> hot_;  ///< hot memory tier
+    std::map<uint64_t, PartitionBuffer> hot_;  ///< hot memory tier
     uint64_t hot_budget_bytes_ = 0;  ///< 0 = promotion disabled
     uint64_t hot_bytes_ = 0;
     uint64_t hot_hits_ = 0;

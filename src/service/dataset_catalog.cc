@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <set>
 
-#include "columnar/columnar_file.h"
 #include "common/logging.h"
+#include "core/partition_producer.h"
 
 namespace presto {
 
@@ -176,9 +176,8 @@ EpochReader::shardOf(size_t index) const
     return index % state_->numShards();
 }
 
-StatusOr<std::vector<uint8_t>>
-EpochReader::fetchEncoded(size_t index, uint64_t attempt,
-                          bool* hot_tier_hit) const
+StatusOr<PartitionStore*>
+EpochReader::shardStore(size_t index) const
 {
     if (!valid())
         return Status::failedPrecondition("EpochReader is not pinned");
@@ -187,21 +186,39 @@ EpochReader::fetchEncoded(size_t index, uint64_t attempt,
             "partition " + std::to_string(index) + " >= epoch size " +
             std::to_string(partitions_));
     }
-    return state_->shards[index % state_->numShards()]->fetchPartition(
-        partitionId(index), attempt, hot_tier_hit);
+    return state_->shards[index % state_->numShards()].get();
+}
+
+StatusOr<std::vector<uint8_t>>
+EpochReader::fetchEncoded(size_t index, uint64_t attempt,
+                          bool* hot_tier_hit) const
+{
+    auto shard = shardStore(index);
+    if (!shard.ok())
+        return shard.status();
+    return (*shard)->fetchPartition(partitionId(index), attempt,
+                                    hot_tier_hit);
+}
+
+Status
+EpochReader::produce(PartitionProducer& producer, size_t index,
+                     RowBatch& out) const
+{
+    auto shard = shardStore(index);
+    if (!shard.ok())
+        return shard.status();
+    return producer.produce(**shard, partitionId(index), out);
 }
 
 Status
 EpochReader::readPartition(size_t index, RowBatch& out,
                            bool* hot_tier_hit) const
 {
-    auto encoded = fetchEncoded(index, 0, hot_tier_hit);
-    if (!encoded.ok())
-        return encoded.status();
-    ColumnarFileReader reader;
-    if (Status st = reader.open(*encoded); !st.ok())
-        return st;
-    return reader.readAllInto(out);
+    PartitionProducer producer;
+    Status st = produce(producer, index, out);
+    if (hot_tier_hit != nullptr)
+        *hot_tier_hit = producer.lastStats().hot_tier_hit;
+    return st;
 }
 
 namespace {
@@ -239,29 +256,20 @@ recoverLifecycle(const DatasetSpec& spec,
     RecoveredLifecycle out;
     if (live.empty())
         return out;
+    std::set<uint64_t> incomplete;
     const uint64_t max_epoch = epochOfPartition(*live.rbegin());
     for (uint64_t epoch = 1; epoch <= max_epoch; ++epoch) {
-        bool complete = true;
         for (uint64_t i = 0; i < spec.partitions_per_epoch; ++i) {
             if (live.count(epochPartitionId(epoch, i)) == 0) {
-                complete = false;
+                incomplete.insert(epoch);
                 break;
             }
         }
-        if (complete)
+        if (incomplete.count(epoch) == 0)
             out.head = epoch;
     }
-    for (uint64_t epoch = 1; epoch < out.head; ++epoch) {
-        bool complete = true;
-        for (uint64_t i = 0; i < spec.partitions_per_epoch; ++i) {
-            if (live.count(epochPartitionId(epoch, i)) == 0) {
-                complete = false;
-                break;
-            }
-        }
-        if (!complete)
-            out.retired.insert(epoch);
-    }
+    out.retired.insert(incomplete.begin(),
+                       incomplete.lower_bound(out.head));
     return out;
 }
 
@@ -392,19 +400,14 @@ DatasetCatalog::publishEpoch(const std::string& dataset)
 StatusOr<EpochReader>
 DatasetCatalog::pin(const std::string& dataset) const
 {
-    auto state = find(dataset);
-    if (!state.ok())
-        return state.status();
-    const uint64_t head = (*state)->head.load(std::memory_order_acquire);
-    if (head == 0) {
+    auto head = headEpoch(dataset);
+    if (!head.ok())
+        return head.status();
+    if (*head == 0) {
         return Status::failedPrecondition(
             "dataset has no published epoch: " + dataset);
     }
-    auto token = acquirePin(*state, head);
-    if (!token.ok())
-        return token.status();
-    return EpochReader(*state, head, (*state)->spec.partitions_per_epoch,
-                       *std::move(token));
+    return pin(dataset, *head);
 }
 
 StatusOr<EpochReader>
@@ -441,12 +444,11 @@ DatasetCatalog::applyRetention(const std::string& dataset)
     // half-finished publish is never misread as a retirable epoch.
     std::scoped_lock publish_lock(ds.publish_mu);
     const uint64_t head = ds.head.load(std::memory_order_acquire);
-    if (ds.spec.retain_epochs == 0 || head <= ds.spec.retain_epochs) {
-        std::scoped_lock pins(ds.pins_mu);
-        report.live_epochs = head - ds.retired_epochs.size();
-        return report;
-    }
-    const uint64_t retire_below = head - ds.spec.retain_epochs + 1;
+    const uint64_t keep = ds.spec.retain_epochs;
+    // Epochs below retire_below are eligible; none when retention is
+    // off or the head has not outgrown the window yet.
+    const uint64_t retire_below =
+        keep == 0 || head <= keep ? 1 : head - keep + 1;
     for (uint64_t epoch = 1; epoch < retire_below; ++epoch) {
         // Claim the epoch under pins_mu: only pin-free epochs flip to
         // retired, and a pin that lost the race fails (acquirePin

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/batch_arena.h"
 #include "common/logging.h"
+#include "core/partition_producer.h"
 #include "models/calibration.h"
 
 namespace presto {
@@ -14,6 +16,8 @@ namespace presto {
  * production step itself (fetch + decode + transform), which runs
  * unlocked on whatever worker claimed the session; `in_flight` keeps
  * claims exclusive, so per-session delivery order is partition order.
+ * The fetch + decode buffers and the transform arena belong to the
+ * worker, not the session.
  */
 struct IngestService::Session {
     uint64_t id = 0;
@@ -41,6 +45,22 @@ struct IngestService::Session {
     {
         return !closing && error.ok() && !in_flight &&
                queue.size() < spec.queue_capacity;
+    }
+
+    SessionStats
+    stats() const
+    {
+        SessionStats out;
+        out.tenant = spec.name;
+        out.epoch = reader.epoch();
+        out.produced = produced;
+        out.delivered = delivered;
+        out.queue_capacity = spec.queue_capacity;
+        out.max_queue_occupancy = max_queue_occupancy;
+        out.service_sec_estimate = service_sec_estimate;
+        out.hot_tier_hits = hot_tier_hits;
+        out.cold_fetches = cold_fetches;
+        return out;
     }
 };
 
@@ -80,47 +100,50 @@ IngestService::estimateServiceSec(const RmConfig& config) const
                      cal::kMeasuredFusedSecPerValue);
 }
 
-std::vector<AdmissionInput>
-IngestService::admittedInputsLocked() const
+StatusOr<EpochReader>
+IngestService::pinFor(const TenantSpec& spec) const
 {
+    return spec.epoch == 0 ? catalog_.pin(spec.dataset)
+                           : catalog_.pin(spec.dataset, spec.epoch);
+}
+
+AdmissionDecision
+IngestService::admitLocked(const TenantSpec& spec, double service_sec) const
+{
+    const auto input = [](const TenantSpec& tenant, double sec) {
+        AdmissionInput in;
+        in.tenant = tenant.name;
+        in.peak_batches_per_sec = tenant.peak_batches_per_sec;
+        in.service_sec = sec;
+        in.slo_p99_sec = tenant.slo_p99_sec;
+        return in;
+    };
     std::vector<AdmissionInput> admitted;
     admitted.reserve(sessions_.size());
     for (const auto& [id, session] : sessions_) {
-        if (session->closing)
-            continue;
-        AdmissionInput input;
-        input.tenant = session->spec.name;
-        input.peak_batches_per_sec = session->spec.peak_batches_per_sec;
-        input.service_sec = session->service_sec_estimate;
-        input.slo_p99_sec = session->spec.slo_p99_sec;
-        admitted.push_back(std::move(input));
+        if (!session->closing) {
+            admitted.push_back(
+                input(session->spec, session->service_sec_estimate));
+        }
     }
-    return admitted;
+    return evaluateAdmission(admitted, input(spec, service_sec),
+                             static_cast<double>(options_.workers));
 }
 
 AdmissionDecision
 IngestService::admissionProbe(const TenantSpec& spec) const
 {
-    AdmissionInput candidate;
-    candidate.tenant = spec.name;
-    candidate.peak_batches_per_sec = spec.peak_batches_per_sec;
-    candidate.slo_p99_sec = spec.slo_p99_sec;
     // Pin exactly what openSession() would pin, so the probe never
     // reports admitted for a spec openSession() would fail.
-    auto reader = spec.epoch == 0
-                      ? catalog_.pin(spec.dataset)
-                      : catalog_.pin(spec.dataset, spec.epoch);
+    auto reader = pinFor(spec);
     if (!reader.ok()) {
         AdmissionDecision decision;
         decision.admitted = false;
         decision.reason = reader.status().toString();
         return decision;
     }
-    candidate.service_sec = estimateServiceSec(reader->config());
-
     std::scoped_lock lock(mu_);
-    return evaluateAdmission(admittedInputsLocked(), candidate,
-                             static_cast<double>(options_.workers));
+    return admitLocked(spec, estimateServiceSec(reader->config()));
 }
 
 StatusOr<uint64_t>
@@ -133,9 +156,7 @@ IngestService::openSession(const TenantSpec& spec)
     // monopolizes every worker.
     if (!std::isfinite(spec.weight) || spec.weight <= 0)
         return Status::invalidArgument("weight must be positive");
-    auto reader = spec.epoch == 0
-                      ? catalog_.pin(spec.dataset)
-                      : catalog_.pin(spec.dataset, spec.epoch);
+    auto reader = pinFor(spec);
     if (!reader.ok())
         return reader.status();
 
@@ -156,14 +177,8 @@ IngestService::openSession(const TenantSpec& spec)
     if (stopping_)
         return Status::aborted("service is shutting down");
     if (options_.admission_control) {
-        AdmissionInput candidate;
-        candidate.tenant = spec.name;
-        candidate.peak_batches_per_sec = spec.peak_batches_per_sec;
-        candidate.service_sec = session->service_sec_estimate;
-        candidate.slo_p99_sec = spec.slo_p99_sec;
         const AdmissionDecision decision =
-            evaluateAdmission(admittedInputsLocked(), candidate,
-                              static_cast<double>(options_.workers));
+            admitLocked(spec, session->service_sec_estimate);
         if (!decision.admitted) {
             return Status::failedPrecondition(
                 "tenant " + spec.name + " rejected: " + decision.reason);
@@ -183,17 +198,25 @@ IngestService::openSession(const TenantSpec& spec)
     return session->id;
 }
 
-std::shared_ptr<IngestService::Session>
-IngestService::findSession(uint64_t session_id) const
+StatusOr<std::shared_ptr<IngestService::Session>>
+IngestService::findLocked(uint64_t session_id) const
 {
-    std::scoped_lock lock(mu_);
     auto it = sessions_.find(session_id);
-    return it == sessions_.end() ? nullptr : it->second;
+    if (it == sessions_.end()) {
+        return Status::notFound("unknown session " +
+                                std::to_string(session_id));
+    }
+    return it->second;
 }
 
 void
 IngestService::workerLoop()
 {
+    // One producer (reused reader, bounded retries) and one arena per
+    // worker, shared by every session the worker serves.
+    PartitionProducer producer;
+    BatchArena arena;
+    RowBatch raw;
     std::unique_lock lock(mu_);
     for (;;) {
         if (stopping_)
@@ -222,25 +245,22 @@ IngestService::workerLoop()
         DeliveredBatch out;
         out.epoch = pick->reader.epoch();
         out.partition_index = index;
-        RowBatch raw;
-        bool hot_tier_hit = false;
-        Status st = pick->reader.readPartition(index, raw, &hot_tier_hit);
+        Status st = pick->reader.produce(producer, index, raw);
         if (st.ok()) {
-            out.batch = std::make_unique<MiniBatch>(
-                pick->executor->run(raw));
+            out.batch = std::make_unique<MiniBatch>();
+            pick->executor->runInto(raw, *out.batch, arena);
         }
 
         lock.lock();
         pick->in_flight = false;
-        if (st.ok()) {
-            if (hot_tier_hit)
-                ++pick->hot_tier_hits;
-            else
-                ++pick->cold_fetches;
-        }
         if (!st.ok()) {
             pick->error = st;
-        } else if (!pick->closing) {
+        } else if (producer.lastStats().hot_tier_hit) {
+            ++pick->hot_tier_hits;
+        } else {
+            ++pick->cold_fetches;
+        }
+        if (st.ok() && !pick->closing) {
             out.sequence = pick->produced++;
             pick->queue.push_back(std::move(out));
             pick->max_queue_occupancy =
@@ -255,12 +275,11 @@ IngestService::workerLoop()
 StatusOr<DeliveredBatch>
 IngestService::nextBatch(uint64_t session_id)
 {
-    std::shared_ptr<Session> session = findSession(session_id);
-    if (session == nullptr) {
-        return Status::notFound("unknown session " +
-                                std::to_string(session_id));
-    }
     std::unique_lock lock(mu_);
+    auto found = findLocked(session_id);
+    if (!found.ok())
+        return found.status();
+    std::shared_ptr<Session> session = *std::move(found);
     session->queue_cv.wait(lock, [&] {
         return !session->queue.empty() || session->closing || stopping_ ||
                !session->error.ok();
@@ -282,12 +301,10 @@ Status
 IngestService::closeSession(uint64_t session_id)
 {
     std::unique_lock lock(mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-        return Status::notFound("unknown session " +
-                                std::to_string(session_id));
-    }
-    std::shared_ptr<Session> session = it->second;
+    auto found = findLocked(session_id);
+    if (!found.ok())
+        return found.status();
+    std::shared_ptr<Session> session = *std::move(found);
     session->closing = true;
     session->queue_cv.notify_all();
     // Wait out an in-flight production so the worker never touches a
@@ -303,23 +320,10 @@ StatusOr<SessionStats>
 IngestService::sessionStats(uint64_t session_id) const
 {
     std::scoped_lock lock(mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-        return Status::notFound("unknown session " +
-                                std::to_string(session_id));
-    }
-    const Session& s = *it->second;
-    SessionStats stats;
-    stats.tenant = s.spec.name;
-    stats.epoch = s.reader.epoch();
-    stats.produced = s.produced;
-    stats.delivered = s.delivered;
-    stats.queue_capacity = s.spec.queue_capacity;
-    stats.max_queue_occupancy = s.max_queue_occupancy;
-    stats.service_sec_estimate = s.service_sec_estimate;
-    stats.hot_tier_hits = s.hot_tier_hits;
-    stats.cold_fetches = s.cold_fetches;
-    return stats;
+    auto found = findLocked(session_id);
+    if (!found.ok())
+        return found.status();
+    return (*found)->stats();
 }
 
 std::vector<SessionStats>
@@ -328,20 +332,8 @@ IngestService::allSessionStats() const
     std::scoped_lock lock(mu_);
     std::vector<SessionStats> all;
     all.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) {
-        const Session& s = *session;
-        SessionStats stats;
-        stats.tenant = s.spec.name;
-        stats.epoch = s.reader.epoch();
-        stats.produced = s.produced;
-        stats.delivered = s.delivered;
-        stats.queue_capacity = s.spec.queue_capacity;
-        stats.max_queue_occupancy = s.max_queue_occupancy;
-        stats.service_sec_estimate = s.service_sec_estimate;
-        stats.hot_tier_hits = s.hot_tier_hits;
-        stats.cold_fetches = s.cold_fetches;
-        all.push_back(std::move(stats));
-    }
+    for (const auto& [id, session] : sessions_)
+        all.push_back(session->stats());
     return all;
 }
 

@@ -161,8 +161,14 @@ class IngestService
     void workerLoop();
     /** Per-batch service-time estimate for a dataset config. */
     double estimateServiceSec(const RmConfig& config) const;
-    std::vector<AdmissionInput> admittedInputsLocked() const;
-    std::shared_ptr<Session> findSession(uint64_t session_id) const;
+    /** Pin the epoch @p spec asks for (0 = newest published). */
+    StatusOr<EpochReader> pinFor(const TenantSpec& spec) const;
+    /** Admission decision for @p spec at @p service_sec per batch
+        against the open sessions; mu_ held. */
+    AdmissionDecision admitLocked(const TenantSpec& spec,
+                                  double service_sec) const;
+    /** The open session @p session_id, or kNotFound; mu_ held. */
+    StatusOr<std::shared_ptr<Session>> findLocked(uint64_t session_id) const;
 
     DatasetCatalog& catalog_;
     ServiceOptions options_;

@@ -99,7 +99,7 @@ TEST(PartitionStoreTest, DeterministicBytes)
     const RmConfig cfg = tinyConfig();
     RawDataGenerator gen_a(cfg), gen_b(cfg);
     PartitionStore a(gen_a), b(gen_b);
-    EXPECT_EQ(a.partition(5), b.partition(5));
+    EXPECT_EQ(*a.partition(5), *b.partition(5));
     EXPECT_EQ(a.partitionBytes(5), b.partitionBytes(5));
 }
 
@@ -109,7 +109,7 @@ TEST(PartitionStoreTest, PartitionsAreValidPsfFiles)
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
     ColumnarFileReader reader;
-    ASSERT_TRUE(reader.open(store.partition(2)).ok());
+    ASSERT_TRUE(reader.open(*store.partition(2)).ok());
     EXPECT_EQ(reader.footer().partition_id, 2u);
     EXPECT_EQ(reader.footer().num_rows, cfg.batch_size);
 }

@@ -2,19 +2,23 @@
  * @file
  * Tests for the fault-injection layer: deterministic fault draws,
  * failure-aware pool scheduling, degraded pipeline simulation, and the
- * functional fetch-retry/corruption-recovery path.
+ * functional fetch-retry/corruption-recovery path, including the
+ * PartitionProducer contract.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/fault_injector.h"
 #include "core/managers.h"
+#include "core/partition_producer.h"
 #include "core/partition_store.h"
 #include "core/pool_scheduler.h"
 #include "core/provisioner.h"
 #include "core/training_pipeline.h"
 #include "datagen/generator.h"
+#include "io/io_ring.h"
 
 namespace presto {
 namespace {
@@ -426,7 +430,7 @@ TEST(PartitionStoreFaultTest, FetchMatchesPristineWithoutInjector)
     EXPECT_FALSE(store.faultInjectionEnabled());
     const auto fetched = store.fetchPartition(0);
     ASSERT_TRUE(fetched.ok());
-    EXPECT_EQ(*fetched, store.partition(0));
+    EXPECT_EQ(*fetched, *store.partition(0));
 }
 
 TEST(PartitionStoreFaultTest, TransientErrorsAndCorruptionAreKeyedOnAttempt)
@@ -454,7 +458,7 @@ TEST(PartitionStoreFaultTest, TransientErrorsAndCorruptionAreKeyedOnAttempt)
         }
         ASSERT_TRUE(b.ok());
         EXPECT_EQ(*a, *b);
-        if (*a != store.partition(3))
+        if (*a != *store.partition(3))
             ++corrupt;
         else
             ++clean;
@@ -464,7 +468,7 @@ TEST(PartitionStoreFaultTest, TransientErrorsAndCorruptionAreKeyedOnAttempt)
     EXPECT_GT(clean, 0);
     // The cached copy stayed pristine throughout.
     store.setFaultInjector(nullptr);
-    EXPECT_EQ(*store.fetchPartition(3), store.partition(3));
+    EXPECT_EQ(*store.fetchPartition(3), *store.partition(3));
 }
 
 TEST(ManagersFaultTest, TrainingRecoversIdenticalDataUnderFaults)
@@ -493,6 +497,128 @@ TEST(ManagersFaultTest, TrainingRecoversIdenticalDataUnderFaults)
     EXPECT_EQ(stats.batches_delivered, batches);
     EXPECT_GT(stats.transient_read_errors +
                   stats.corrupt_partition_refetches, 0u);
+}
+
+// --- PartitionProducer: the one Extract path --------------------------------
+
+RmConfig
+producerConfig()
+{
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 64;
+    return cfg;
+}
+
+TEST(PartitionProducerTest, FaultyStoreYieldsCleanBatchesAndCountsRetries)
+{
+    const RmConfig cfg = producerConfig();
+    RawDataGenerator gen(cfg);
+    PartitionStore clean(gen);
+    PartitionStore faulty(gen);
+    FaultSpec spec;
+    spec.transient_read_error_prob = 0.3;
+    spec.corruption_prob = 0.3;
+    const FaultInjector faults(spec);
+    faulty.setFaultInjector(&faults);
+
+    PartitionProducer reference;
+    PartitionProducer producer;
+    RowBatch want;
+    RowBatch got;  // reused across partitions, like a worker's batch
+    uint64_t transient = 0, corrupt = 0;
+    for (uint64_t pid = 0; pid < 16; ++pid) {
+        ASSERT_TRUE(reference.produce(clean, pid, want).ok());
+        EXPECT_EQ(reference.lastStats().attempts, 1u);
+        ASSERT_TRUE(producer.produce(faulty, pid, got).ok()) << pid;
+        EXPECT_TRUE(got == want) << "partition " << pid;
+        const ProduceStats& st = producer.lastStats();
+        EXPECT_EQ(st.attempts, 1 + st.transient_errors + st.corrupt_refetches);
+        EXPECT_EQ(st.raw_bytes, reference.lastStats().raw_bytes);
+        EXPECT_EQ(st.bytes_touched, reference.lastStats().bytes_touched);
+        transient += st.transient_errors;
+        corrupt += st.corrupt_refetches;
+    }
+    EXPECT_GT(transient, 0u);
+    EXPECT_GT(corrupt, 0u);
+}
+
+TEST(PartitionProducerTest, RingFaultsRecoverToTheBlockingBatches)
+{
+    const RmConfig cfg = producerConfig();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    FaultSpec spec;
+    spec.transient_read_error_prob = 0.2;
+    spec.corruption_prob = 0.2;
+    const FaultInjector faults(spec);
+    IoRingOptions opt;
+    opt.faults = &faults;
+    IoRing ring(opt);
+
+    PartitionProducer blocking;
+    PartitionProducer ringed(nullptr, &ring);
+    RowBatch want;
+    RowBatch got;
+    uint64_t retries = 0;
+    for (uint64_t pid = 0; pid < 8; ++pid) {
+        ASSERT_TRUE(blocking.produce(store, pid, want).ok());
+        ASSERT_TRUE(ringed.produce(store, pid, got).ok()) << pid;
+        EXPECT_TRUE(got == want) << "partition " << pid;
+        EXPECT_EQ(ringed.lastStats().raw_bytes,
+                  blocking.lastStats().raw_bytes);
+        retries += ringed.lastStats().transient_errors +
+                   ringed.lastStats().corrupt_refetches;
+    }
+    EXPECT_GT(retries, 0u);
+}
+
+TEST(PartitionProducerTest, RetiredPartitionFailsAfterOneAttempt)
+{
+    const RmConfig cfg = producerConfig();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    FaultSpec spec;
+    spec.transient_read_error_prob = 0.5;  // must not trigger a retry
+    const FaultInjector faults(spec);
+    store.setFaultInjector(&faults);
+    ASSERT_TRUE(store.retirePartition(2).ok());
+
+    IoRing ring;
+    PartitionProducer blocking;
+    PartitionProducer ringed(nullptr, &ring);
+    for (PartitionProducer* producer : {&blocking, &ringed}) {
+        RowBatch out;
+        EXPECT_EQ(producer->produce(store, 2, out).code(),
+                  StatusCode::kNotFound);
+        EXPECT_EQ(producer->lastStats().attempts, 1u);
+        EXPECT_EQ(producer->lastStats().transient_errors, 0u);
+    }
+}
+
+TEST(PartitionProducerTest, ExhaustedRetryBudgetIsAStatusNotAnAbort)
+{
+    const RmConfig cfg = producerConfig();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    FaultSpec spec;
+    // The injector rejects a probability of exactly 1 (see
+    // FaultInjectorDeathTest); the largest one it accepts fails every
+    // attempt of this fixed-seed run.
+    spec.transient_read_error_prob = std::nextafter(1.0, 0.0);
+    const FaultInjector faults(spec);
+    store.setFaultInjector(&faults);
+
+    PartitionProducer producer;
+    RowBatch out;
+    const Status st = producer.produce(store, 0, out);
+    EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.toString();
+    EXPECT_EQ(producer.lastStats().attempts, kMaxFetchAttempts);
+    EXPECT_EQ(producer.lastStats().transient_errors, kMaxFetchAttempts);
+
+    // The same producer serves the next partition once faults clear.
+    store.setFaultInjector(nullptr);
+    ASSERT_TRUE(producer.produce(store, 0, out).ok());
+    EXPECT_EQ(producer.lastStats().attempts, 1u);
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(IntegrationTest, CorruptPartitionIsDetectedBeforeTraining)
     const RmConfig cfg = smallRm(1, 64);
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    auto corrupted = store.partition(0);
+    std::vector<uint8_t> corrupted = *store.partition(0);
     corrupted[corrupted.size() / 3] ^= 0x08;
 
     ColumnarFileReader reader;
@@ -118,10 +118,10 @@ TEST(IntegrationTest, PartitionFilesSurviveDiskRoundTrip)
     const RmConfig cfg = smallRm(1, 64);
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& bytes = store.partition(9);
+    const PartitionBuffer bytes = store.partition(9);
 
     const std::string path = ::testing::TempDir() + "partition9.psf";
-    ASSERT_TRUE(saveToFile(path, bytes).ok());
+    ASSERT_TRUE(saveToFile(path, *bytes).ok());
     auto loaded = loadFromFile(path);
     ASSERT_TRUE(loaded.ok());
 
@@ -163,7 +163,7 @@ TEST(IntegrationTest, MixedWorkloadStoresAreIsolated)
     RawDataGenerator gen_a(cfg_a);
     RawDataGenerator gen_b(cfg_b, opts);
     PartitionStore store_a(gen_a), store_b(gen_b);
-    EXPECT_NE(store_a.partition(0), store_b.partition(0));
+    EXPECT_NE(*store_a.partition(0), *store_b.partition(0));
 }
 
 TEST(IntegrationTest, MultiEpochTrainingOverShuffledPartitions)
@@ -188,7 +188,7 @@ TEST(IntegrationTest, MultiEpochTrainingOverShuffledPartitions)
 
     auto batchFor = [&](uint64_t pid) {
         ColumnarFileReader reader;
-        EXPECT_TRUE(reader.open(store.partition(pid)).ok());
+        EXPECT_TRUE(reader.open(*store.partition(pid)).ok());
         auto raw = reader.readAll();
         EXPECT_TRUE(raw.ok());
         return pre.preprocess(*raw);

@@ -175,11 +175,11 @@ TEST(AsyncReaderFaultTest, BitFlipIsCaughtByPageCrcAndReread)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     ASSERT_TRUE(blocking.readAllInto(expect).ok());
 
     FaultSpec spec;
@@ -190,7 +190,7 @@ TEST(AsyncReaderFaultTest, BitFlipIsCaughtByPageCrcAndReread)
     IoRing ring(opt);
     AsyncPartitionReader reader(ring);
     RowBatch got;
-    ASSERT_TRUE(reader.read(encoded, 0, got).ok());
+    ASSERT_TRUE(reader.read(*encoded, 0, got).ok());
 
     // Silently corrupted pages were detected by their CRC and re-read;
     // the delivered batch is still bit-identical.
@@ -204,11 +204,11 @@ TEST(AsyncReaderFaultTest, TransientAndTimeoutFaultsRecoverInFlight)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     ASSERT_TRUE(blocking.readAllInto(expect).ok());
 
     FaultSpec spec;
@@ -221,7 +221,7 @@ TEST(AsyncReaderFaultTest, TransientAndTimeoutFaultsRecoverInFlight)
     IoRing ring(opt);
     AsyncPartitionReader reader(ring);
     RowBatch got;
-    ASSERT_TRUE(reader.read(encoded, 0, got).ok());
+    ASSERT_TRUE(reader.read(*encoded, 0, got).ok());
     EXPECT_TRUE(got == expect);
     EXPECT_GT(reader.lastReadStats().device_retries, 0u);
     const IoRingStats stats = ring.statsSnapshot();
@@ -234,7 +234,7 @@ TEST(AsyncReaderFaultTest, MixedFaultsStayDeterministicAndRecoverable)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(2);
+    const PartitionBuffer encoded = store.partition(2);
 
     FaultSpec spec;
     spec.transient_read_error_prob = 0.15;
@@ -248,7 +248,7 @@ TEST(AsyncReaderFaultTest, MixedFaultsStayDeterministicAndRecoverable)
         opt.faults = &faults;
         IoRing ring(opt);
         AsyncPartitionReader reader(ring);
-        ASSERT_TRUE(reader.read(encoded, 2, out).ok());
+        ASSERT_TRUE(reader.read(*encoded, 2, out).ok());
         rs = reader.lastReadStats();
     };
     RowBatch a, b;

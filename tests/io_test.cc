@@ -92,18 +92,26 @@ TEST(IoRingTest, CompletionsRouteToTheirConsumer)
     IoRing ring;
     const uint32_t a = ring.registerConsumer();
     const uint32_t b = ring.registerConsumer();
-    std::vector<uint8_t> device(512, 0x5a);
-    std::vector<uint8_t> dst_a(512), dst_b(512);
+    // Six reads in flight at once, each from its own device range into
+    // its own destination buffer (concurrent reads must never share a
+    // destination), so every read's bytes can be checked.
+    constexpr size_t kReads = 6;
+    constexpr size_t kBytes = 512;
+    std::vector<uint8_t> device(kReads * kBytes);
+    for (size_t i = 0; i < device.size(); ++i)
+        device[i] = static_cast<uint8_t>(i / kBytes * 37 + i % 251);
+    std::vector<std::vector<uint8_t>> dst(kReads,
+                                          std::vector<uint8_t>(kBytes));
 
-    IoRequest req;
-    req.src = device;
-    for (int i = 0; i < 3; ++i) {
-        req.dest = dst_a.data();
-        req.user_data = 100 + static_cast<uint64_t>(i);
-        ring.submit(a, req);
-        req.dest = dst_b.data();
-        req.user_data = 200 + static_cast<uint64_t>(i);
-        ring.submit(b, req);
+    for (size_t i = 0; i < kReads; ++i) {
+        IoRequest req;
+        req.src = std::span<const uint8_t>(device).subspan(i * kBytes,
+                                                           kBytes);
+        req.offset = i * kBytes;
+        req.dest = dst[i].data();
+        // Even reads belong to consumer a (cookies 100+), odd to b (200+).
+        req.user_data = (i % 2 == 0 ? 100 : 200) + i;
+        ring.submit(i % 2 == 0 ? a : b, req);
     }
     ring.drain();
 
@@ -111,10 +119,17 @@ TEST(IoRingTest, CompletionsRouteToTheirConsumer)
     EXPECT_EQ(ring.reapCompletions(a, got_a), 3u);
     EXPECT_EQ(ring.reapCompletions(b, got_b), 3u);
     EXPECT_EQ(ring.cqSize(), 0u);
-    for (const auto& c : got_a)
+    for (const auto& c : got_a) {
         EXPECT_GE(c.user_data, 100u);
+        EXPECT_LT(c.user_data, 200u);
+    }
     for (const auto& c : got_b)
         EXPECT_GE(c.user_data, 200u);
+    for (size_t i = 0; i < kReads; ++i) {
+        EXPECT_TRUE(std::equal(dst[i].begin(), dst[i].end(),
+                               device.begin() + i * kBytes))
+            << "read " << i;
+    }
 }
 
 TEST(IoRingTest, DrainLeavesNothingQueuedOrInFlight)
@@ -232,11 +247,11 @@ TEST(AsyncReaderTest, BitIdenticalToBlockingRead)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     ASSERT_TRUE(blocking.readAllInto(expect).ok());
 
     for (const size_t depth : {1u, 2u, 8u, 64u}) {
@@ -245,7 +260,7 @@ TEST(AsyncReaderTest, BitIdenticalToBlockingRead)
         opt.queue_depth = depth;
         AsyncPartitionReader reader(ring, opt);
         RowBatch got;
-        ASSERT_TRUE(reader.read(encoded, 0, got).ok()) << depth;
+        ASSERT_TRUE(reader.read(*encoded, 0, got).ok()) << depth;
         EXPECT_TRUE(got == expect) << "queue depth " << depth;
         // Selective-read accounting matches the blocking reader too.
         EXPECT_EQ(reader.reader().bytesTouched(),
@@ -253,7 +268,7 @@ TEST(AsyncReaderTest, BitIdenticalToBlockingRead)
         const AsyncReadStats& rs = reader.lastReadStats();
         EXPECT_GT(rs.pages, 1u);
         EXPECT_GT(rs.bytes_read, 0u);
-        EXPECT_LT(rs.bytes_read, encoded.size());  // pages, not the file
+        EXPECT_LT(rs.bytes_read, encoded->size());  // pages, not the file
         EXPECT_GT(rs.modeled_storage_sec, 0.0);
         EXPECT_EQ(rs.device_retries, 0u);
         EXPECT_EQ(rs.corrupt_page_rereads, 0u);
@@ -270,10 +285,10 @@ TEST(AsyncReaderTest, ReusesBuffersAcrossPartitions)
     ColumnarFileReader blocking;
     RowBatch got, expect;
     for (uint64_t pid = 0; pid < 4; ++pid) {
-        const auto& encoded = store.partition(pid);
-        ASSERT_TRUE(blocking.open(encoded).ok());
+        const PartitionBuffer encoded = store.partition(pid);
+        ASSERT_TRUE(blocking.open(*encoded).ok());
         ASSERT_TRUE(blocking.readAllInto(expect).ok());
-        ASSERT_TRUE(reader.read(encoded, pid, got).ok()) << pid;
+        ASSERT_TRUE(reader.read(*encoded, pid, got).ok()) << pid;
         EXPECT_TRUE(got == expect) << "partition " << pid;
     }
 }
@@ -295,9 +310,9 @@ TEST(AsyncReaderTest, SharedDecodePoolMatchesSerialDecode)
         threads.emplace_back([&, t] {
             AsyncPartitionReader reader(ring);
             reader.setDecodePool(&pool);
-            const auto& encoded = store.partition(
+            const PartitionBuffer encoded = store.partition(
                 static_cast<uint64_t>(t));
-            if (!reader.read(encoded, static_cast<uint64_t>(t), got[t])
+            if (!reader.read(*encoded, static_cast<uint64_t>(t), got[t])
                      .ok())
                 ++failures;
         });
@@ -310,7 +325,7 @@ TEST(AsyncReaderTest, SharedDecodePoolMatchesSerialDecode)
     for (int t = 0; t < 2; ++t) {
         RowBatch expect;
         ASSERT_TRUE(
-            blocking.open(store.partition(static_cast<uint64_t>(t)))
+            blocking.open(*store.partition(static_cast<uint64_t>(t)))
                 .ok());
         ASSERT_TRUE(blocking.readAllInto(expect).ok());
         EXPECT_TRUE(got[t] == expect) << "partition " << t;
@@ -453,14 +468,14 @@ TEST(AsyncReaderTest, ReadFileMatchesMemoryRead)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(3);
+    const PartitionBuffer encoded = store.partition(3);
 
     const std::string path = ::testing::TempDir() + "async_readfile.psf";
-    ASSERT_TRUE(saveToFile(path, encoded).ok());
+    ASSERT_TRUE(saveToFile(path, *encoded).ok());
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     // bytesTouched() right after open = header magic + footer region;
     // drop the leading magic to get the tail the store would persist.
     const size_t tail_bytes = blocking.bytesTouched() - 4;
@@ -474,8 +489,8 @@ TEST(AsyncReaderTest, ReadFileMatchesMemoryRead)
     AsyncPartitionReader reader(ring);
     AsyncPartitionReader::FileReadSource src;
     src.fd = *fd;
-    src.file_size = encoded.size();
-    src.tail = std::span<const uint8_t>(encoded).last(tail_bytes);
+    src.file_size = encoded->size();
+    src.tail = std::span<const uint8_t>(*encoded).last(tail_bytes);
     src.plans = plans;
     RowBatch got;
     ASSERT_TRUE(reader.readFile(src, 3, got).ok());
@@ -562,11 +577,11 @@ TEST(AsyncReaderTest, PlacementModesAreBitIdenticalToBlockingRead)
     WriterOptions wopts;
     wopts.column_heat = columnAccessHeat(cfg);
     PartitionStore store(gen, wopts);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     ASSERT_TRUE(blocking.readAllInto(expect).ok());
 
     for (const ChannelPlacement placement :
@@ -580,7 +595,7 @@ TEST(AsyncReaderTest, PlacementModesAreBitIdenticalToBlockingRead)
         opt.placement = placement;
         AsyncPartitionReader reader(ring, opt);
         RowBatch got;
-        ASSERT_TRUE(reader.read(encoded, 0, got).ok())
+        ASSERT_TRUE(reader.read(*encoded, 0, got).ok())
             << static_cast<int>(placement);
         EXPECT_TRUE(got == expect)
             << "placement " << static_cast<int>(placement);
@@ -596,11 +611,11 @@ TEST(AsyncReaderTest, HeatPlacementWithoutMetadataDegradesToAnyChannel)
     const RmConfig cfg = smallConfig();
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(1);
+    const PartitionBuffer encoded = store.partition(1);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    ASSERT_TRUE(blocking.open(encoded).ok());
+    ASSERT_TRUE(blocking.open(*encoded).ok());
     ASSERT_TRUE(blocking.readAllInto(expect).ok());
 
     IoRing ring;
@@ -608,7 +623,7 @@ TEST(AsyncReaderTest, HeatPlacementWithoutMetadataDegradesToAnyChannel)
     opt.placement = ChannelPlacement::kHeat;
     AsyncPartitionReader reader(ring, opt);
     RowBatch got;
-    ASSERT_TRUE(reader.read(encoded, 1, got).ok());
+    ASSERT_TRUE(reader.read(*encoded, 1, got).ok());
     EXPECT_TRUE(got == expect);
 }
 

@@ -412,6 +412,15 @@ TEST(PartitionStoreTieringTest, HotTierBudgetAndRetire)
     EXPECT_FALSE(hot);
     EXPECT_EQ(store.coldFetches(), 1u);
 
+    // One buffer per partition: the hot tier shares the cached bytes
+    // instead of copying them, and a clean fetch shares them too.
+    auto hot_bytes = store.fetchShared(1);
+    ASSERT_TRUE(hot_bytes.ok());
+    EXPECT_EQ(hot_bytes->get(), store.partition(1).get());
+    auto cold_bytes = store.fetchShared(2);
+    ASSERT_TRUE(cold_bytes.ok());
+    EXPECT_EQ(cold_bytes->get(), store.partition(2).get());
+
     // A budget smaller than one partition rejects promotion.
     store.demotePartition(1);
     EXPECT_EQ(store.hotTierBytes(), 0u);

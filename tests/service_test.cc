@@ -11,12 +11,14 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "columnar/columnar_file.h"
 #include "common/fault_injector.h"
 #include "core/partition_store.h"
 #include "datagen/generator.h"
@@ -426,6 +428,109 @@ TEST(IngestServiceTest, SessionsStayPinnedWhileHeadAdvances)
     ASSERT_TRUE(service.closeSession(head_session.value()).ok());
 }
 
+/** Bitwise equality of two delivered batches. */
+bool
+sameBatch(const MiniBatch& a, const MiniBatch& b)
+{
+    const auto same_floats = [](const std::vector<float>& x,
+                                const std::vector<float>& y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+                   0;
+    };
+    if (a.batch_size != b.batch_size || !same_floats(a.dense, b.dense) ||
+        !same_floats(a.labels, b.labels) ||
+        a.sparse.size() != b.sparse.size())
+        return false;
+    for (size_t t = 0; t < a.sparse.size(); ++t) {
+        if (a.sparse[t].values != b.sparse[t].values ||
+            a.sparse[t].lengths != b.sparse[t].lengths)
+            return false;
+    }
+    return true;
+}
+
+TEST(IngestServiceTest, CorruptColdSegmentIsRematerializedNotFatal)
+{
+    // A session pinned to an old epoch streams it cold off disk once
+    // the cache has moved on. A bit flip in one of its segment files
+    // used to end the session: the segment's CRC error was latched as
+    // the session error. The shared producer retries instead; the
+    // retry finds the segment quarantined and re-materializes the same
+    // bytes from the generator.
+    const std::string dir_a = freshDir("svc_corrupt_a");
+    const std::string dir_b = freshDir("svc_corrupt_b");
+    auto shard_a = openStore(dir_a, nullptr);
+    auto shard_b = openStore(dir_b, nullptr);
+    DatasetSpec spec = smallSpec("clicks");
+    DatasetCatalog catalog;
+    {
+        // Size the cache budget below one partition, so every epoch-1
+        // fetch below is a cold disk read (and the hot tier, sized at
+        // half the cache budget, holds nothing).
+        RawDataGenerator probe(spec.config, spec.generator);
+        spec.cache_budget_bytes =
+            PartitionStore(probe).partitionBytes(epochPartitionId(1, 0)) /
+            2;
+    }
+    ASSERT_TRUE(catalog
+                    .registerDataset(spec, {shard_a.get(), shard_b.get()})
+                    .ok());
+    ASSERT_TRUE(catalog.publishEpoch("clicks").ok());
+    ASSERT_TRUE(catalog.publishEpoch("clicks").ok());
+
+    // Flip one byte of epoch 1, partition 1 (shard b) on disk.
+    const uint64_t victim = epochPartitionId(1, 1);
+    auto info = shard_b->segmentForPartition(victim);
+    ASSERT_TRUE(info.ok());
+    const std::string path = shard_b->segmentPath(info->meta);
+    auto bytes = loadFromFile(path);
+    ASSERT_TRUE(bytes.ok());
+    (*bytes)[info->meta.plans[0].offset + 8] ^= 0x01;
+    ASSERT_TRUE(saveToFile(path, *bytes).ok());
+
+    // Reference: the same epoch from a clean in-memory catalog.
+    DatasetCatalog clean;
+    DatasetSpec clean_spec = smallSpec("clicks");
+    ASSERT_TRUE(clean.registerDataset(clean_spec).ok());
+    ASSERT_TRUE(clean.publishEpoch("clicks").ok());
+
+    TenantSpec tenant;
+    tenant.name = "replay";
+    tenant.dataset = "clicks";
+    tenant.epoch = 1;
+    IngestService service(catalog);
+    IngestService reference(clean);
+    auto session = service.openSession(tenant);
+    auto clean_session = reference.openSession(tenant);
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(clean_session.ok());
+    for (uint64_t i = 0; i < spec.partitions_per_epoch; ++i) {
+        auto got = service.nextBatch(session.value());
+        ASSERT_TRUE(got.ok()) << "partition " << i << ": "
+                              << got.status().toString();
+        auto want = reference.nextBatch(clean_session.value());
+        ASSERT_TRUE(want.ok());
+        EXPECT_EQ(got->epoch, 1u);
+        EXPECT_EQ(got->partition_index, i);
+        EXPECT_TRUE(sameBatch(*got->batch, *want->batch)) << i;
+    }
+    auto stats = service.sessionStats(session.value());
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->hot_tier_hits, 0u);
+    EXPECT_GE(stats->cold_fetches, spec.partitions_per_epoch);
+
+    // The bad segment ended quarantined, never silently served.
+    EXPECT_EQ(shard_b->segmentForPartition(victim).status().code(),
+              StatusCode::kNotFound);
+    bool quarantined = false;
+    for (const SegmentInfo& seg : shard_b->listSegments()) {
+        if (seg.meta.segment_id == info->meta.segment_id)
+            quarantined = seg.state == SegmentState::kQuarantined;
+    }
+    EXPECT_TRUE(quarantined);
+}
+
 // --- DES service scenario --------------------------------------------
 
 ScenarioTenant
@@ -566,15 +671,25 @@ TEST(PartitionStoreCacheTest, ConcurrentFetchesSurviveEviction)
     // workers hammering a budget that holds ~1 partition makes that
     // interleaving common; run under ASan for the UAF itself, and check
     // bit-identical reads either way.
+    //
+    // Shared buffers: every worker also holds partition() buffers for
+    // the whole run while the others evict those partitions from the
+    // cache and promote/demote them through a one-partition hot tier.
+    // A held buffer must keep its bytes regardless.
     RawDataGenerator generator(smallConfig(), {});
     PartitionStore store(generator);
-    const std::vector<uint8_t> want(store.partition(0));
+    const std::vector<uint8_t> want(*store.partition(0));
     store.setCacheBudget(store.partitionBytes(0) + 1);
+    store.setHotTierBudget(store.partitionBytes(0) + 1);
 
     std::atomic<bool> mismatch{false};
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
         workers.emplace_back([&store, &want, &mismatch, t] {
+            const PartitionBuffer held_zero = store.partition(0);
+            const uint64_t other = static_cast<uint64_t>(t % 3) + 1;
+            const PartitionBuffer held_other = store.partition(other);
+            const std::vector<uint8_t> other_snapshot(*held_other);
             for (uint64_t i = 0; i < 20; ++i) {
                 // Worker-dependent stride: everyone revisits partition
                 // 0 while others pull in evicting neighbours.
@@ -584,6 +699,16 @@ TEST(PartitionStoreCacheTest, ConcurrentFetchesSurviveEviction)
                     (pid == 0 && bytes.value() != want)) {
                     mismatch = true;
                 }
+                // Churn the hot tier under everyone's held buffers.
+                if ((i + t) % 3 == 0)
+                    (void)store.promotePartition(pid);
+                else
+                    store.demotePartition((i % 3) + 1);
+                const PartitionBuffer shared = store.partition(pid);
+                if (pid == 0 && *shared != want)
+                    mismatch = true;
+                if (*held_zero != want || *held_other != other_snapshot)
+                    mismatch = true;
             }
         });
     }

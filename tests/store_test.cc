@@ -379,7 +379,7 @@ TEST(PartitionStorePersistenceTest, PersistPartitionIsIdempotent)
     auto bytes = loadFromFile(store->segmentPath(
         store->listSegments()[0].meta));
     ASSERT_TRUE(bytes.ok());
-    EXPECT_TRUE(*bytes == pstore.partition(5));
+    EXPECT_TRUE(*bytes == *pstore.partition(5));
 }
 
 /** Consume every batch and fold the TrainManager-style checksum. */

@@ -592,11 +592,11 @@ cmdIo(const Args& args)
     cfg.batch_size = static_cast<size_t>(rows);
     RawDataGenerator gen(cfg);
     PartitionStore store(gen);
-    const auto& encoded = store.partition(0);
+    const PartitionBuffer encoded = store.partition(0);
 
     ColumnarFileReader blocking;
     RowBatch expect;
-    if (Status st = blocking.open(encoded); !st.ok()) {
+    if (Status st = blocking.open(*encoded); !st.ok()) {
         std::fprintf(stderr, "%s\n", st.toString().c_str());
         return 1;
     }
@@ -613,7 +613,7 @@ cmdIo(const Args& args)
     AsyncPartitionReader reader(ring, ropt);
     RowBatch got;
     const auto t0 = std::chrono::steady_clock::now();
-    if (Status st = reader.read(encoded, 0, got); !st.ok()) {
+    if (Status st = reader.read(*encoded, 0, got); !st.ok()) {
         std::fprintf(stderr, "async read failed: %s\n",
                      st.toString().c_str());
         return 1;
@@ -632,7 +632,7 @@ cmdIo(const Args& args)
     const IoRingStats stats = ring.statsSnapshot();
     std::printf("%s partition: %ld rows, %s encoded, %llu pages\n",
                 cfg.name.c_str(), rows,
-                formatBytes(static_cast<double>(encoded.size())).c_str(),
+                formatBytes(static_cast<double>(encoded->size())).c_str(),
                 static_cast<unsigned long long>(rs.pages));
     std::printf("async read: queue depth %zu, %d ring workers, "
                 "latency emulation %s\n",
