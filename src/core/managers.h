@@ -19,13 +19,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/batch_arena.h"
-#include "core/partition_producer.h"
 #include "core/partition_store.h"
 #include "datagen/rm_config.h"
 #include "ops/preprocessor.h"
 #include "tabular/minibatch.h"
-#include "tabular/row_batch.h"
 
 namespace presto {
 
@@ -45,9 +42,12 @@ struct RunStats {
     uint64_t tensor_bytes_over_network = 0;  ///< preproc -> train manager
     uint64_t columnar_bytes_touched = 0;  ///< selective-read accounting
     double wall_seconds = 0;
-    /** Injected transient read errors retried (fault injection only). */
+    /** Injected transient read errors retried (fault injection only);
+        on the ring paths this includes the ring's device-level retries. */
     uint64_t transient_read_errors = 0;
-    /** Partitions re-fetched after a page-CRC corruption detection. */
+    /** Re-reads after a page-CRC corruption detection: whole-partition
+        re-fetches, plus, on the ring paths, the in-ring single-page
+        re-reads (AsyncReadStats::corrupt_page_rereads). */
     uint64_t corrupt_partition_refetches = 0;
 };
 
@@ -62,21 +62,18 @@ class PreprocessManager
      * @param config Workload description (also selects the Transform plan).
      * @param store The storage node holding encoded partitions.
      * @param mode Disagg vs PreSto data-path accounting.
-     * @param num_workers Preprocessing (transform) worker threads.
+     * @param num_workers Worker threads. Each runs one loop: claim a
+     *        partition, Extract it through its own PartitionProducer,
+     *        Transform it into a MiniBatch with its own BatchArena, and
+     *        deliver it, so every stage's cost spreads over all workers.
      * @param queue_capacity Bound of the mini-batch input queue.
-     * @param prefetch Stage the pipeline: dedicated fetcher threads
-     *        decode partition N+1 while transform workers run partition
-     *        N, connected by a bounded decoded-partition queue. Off
-     *        runs the seed's combined fetch+transform loop per worker.
-     *        Delivered batches are identical either way (ordering may
-     *        differ, as it already can between workers).
      * @param decode_pool Optional thread pool the per-worker readers
      *        use for page-parallel decode (models the FPGA Decoder
      *        unit). nullptr keeps per-page decode serial within each
      *        worker. Shared across workers; must outlive the manager.
-     * @param io_ring Optional async I/O engine. When set, the Extract
-     *        stage streams page frames through the ring instead of the
-     *        blocking whole-file fetch: each fetcher keeps a window of
+     * @param io_ring Optional async I/O engine. When set, Extract
+     *        streams page frames through the ring instead of the
+     *        blocking whole-file fetch: each worker keeps a window of
      *        pages in flight and decodes them as they complete, so
      *        decode overlaps modeled storage latency. Faults then act
      *        on individual in-flight page reads (ring-level retry with
@@ -86,9 +83,23 @@ class PreprocessManager
      */
     PreprocessManager(const RmConfig& config, PartitionStore& store,
                       PreprocessMode mode, int num_workers,
-                      size_t queue_capacity = 8, bool prefetch = true,
+                      size_t queue_capacity = 8,
                       ThreadPool* decode_pool = nullptr,
                       IoRing* io_ring = nullptr);
+
+    /**
+     * The same manager; @p prefetch is ignored. Kept only for
+     * bench_e2e/workloads.cc, which passes it by position. No other
+     * caller may use this overload.
+     */
+    PreprocessManager(const RmConfig& config, PartitionStore& store,
+                      PreprocessMode mode, int num_workers,
+                      size_t queue_capacity, bool /*prefetch*/,
+                      ThreadPool* decode_pool, IoRing* io_ring)
+        : PreprocessManager(config, store, mode, num_workers,
+                            queue_capacity, decode_pool, io_ring)
+    {
+    }
 
     /** Stops workers and drains the queue. */
     ~PreprocessManager();
@@ -116,25 +127,9 @@ class PreprocessManager
     PreprocessMode mode() const { return mode_; }
 
   private:
-    /** One fetched+decoded partition moving between pipeline stages. */
-    struct DecodedPartition {
-        RowBatch batch;
-        ProduceStats stats;
-    };
-
+    /** Claim, Extract, Transform and deliver until no partition is left. */
     void workerLoop();
-    void fetchLoop();
-    void transformLoop();
     bool claimPartition(uint64_t& id);
-    /** Fetch + decode partition @p id through @p producer; a partition
-     * the producer cannot recover is fatal. */
-    void produce(PartitionProducer& producer, uint64_t id,
-                 DecodedPartition& dp);
-    /** Transform + enqueue one decoded partition; returns its shell. */
-    void transformAndDeliver(DecodedPartition& dp, BatchArena& arena);
-    /** Pop a recycled object off @p free (fresh when empty). */
-    template <typename T>
-    std::unique_ptr<T> takeFree(std::vector<std::unique_ptr<T>>& free);
 
     RmConfig config_;
     PartitionStore& store_;
@@ -142,26 +137,14 @@ class PreprocessManager
     Preprocessor preprocessor_;
     size_t queue_capacity_;
     int num_workers_;
-    bool prefetch_;
     ThreadPool* decode_pool_;
     IoRing* io_ring_;
-    // Fetch-stage share of the worker budget, derived from the measured
-    // decode vs fused-transform rates for this workload (see start()).
-    double fetch_share_;
 
     std::mutex mu_;
     std::condition_variable queue_not_empty_;
     std::condition_variable queue_not_full_;
-    std::condition_variable decoded_not_empty_;
-    std::condition_variable decoded_not_full_;
     std::deque<std::unique_ptr<MiniBatch>> queue_;
-    // Staged-pipeline state: decoded partitions in flight, recycled
-    // shells, and recycled output batches.
-    std::deque<std::unique_ptr<DecodedPartition>> decoded_;
-    size_t decoded_capacity_ = 0;
-    std::vector<std::unique_ptr<DecodedPartition>> free_shells_;
     std::vector<std::unique_ptr<MiniBatch>> free_batches_;
-    int active_fetchers_ = 0;
     std::vector<std::thread> workers_;
     uint64_t next_partition_ = 0;
     size_t total_batches_ = 0;

@@ -16,6 +16,8 @@
 #include <new>
 #include <random>
 #include <ranges>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "columnar/columnar_file.h"
@@ -26,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "core/isp_emulator.h"
 #include "core/managers.h"
+#include "core/partition_producer.h"
 #include "core/partition_store.h"
 #include "datagen/generator.h"
 #include "ops/fast_math.h"
@@ -633,82 +636,84 @@ TEST(ParallelForTest, SkewedWorkStillRunsEveryIndexExactlyOnce)
     EXPECT_EQ(index_sum.load(), uint64_t{kN} * (kN - 1) / 2);
 }
 
-TEST(PrefetchPipelineTest, DeliveredBatchesMatchUnstagedPath)
+/** Workers × store (clean, or faulty: transient 0.2, corruption 0.2). */
+class ManagerWorkerSweepTest
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
 {
+};
+
+TEST_P(ManagerWorkerSweepTest, SameBatchesAndRetryCountsAtAnyWorkerCount)
+{
+    const auto [workers, faulty] = GetParam();
     RmConfig cfg = rmConfig(1);
     cfg.batch_size = 128;
     RawDataGenerator gen(cfg);
-    PartitionStore store(gen);
     constexpr size_t kBatches = 12;
-
-    auto runChecksum = [&](bool prefetch) {
-        PreprocessManager manager(cfg, store, PreprocessMode::kDisaggCpu,
-                                  2, 4, prefetch);
-        manager.start(kBatches);
-        uint64_t sum = 0;
-        size_t count = 0;
-        for (;;) {
-            auto mb = manager.nextBatch();
-            if (mb == nullptr)
-                break;
-            EXPECT_TRUE(mb->consistent());
-            sum ^= batchChecksum(*mb);
-            ++count;
-            manager.recycle(std::move(mb));
-        }
-        EXPECT_EQ(count, kBatches);
-        EXPECT_EQ(manager.stats().batches_delivered, kBatches);
-        return sum;
-    };
-
-    // XOR-folded checksums are order-independent, so the staged pipeline
-    // must reproduce the unstaged delivery bit for bit.
-    EXPECT_EQ(runChecksum(true), runChecksum(false));
-}
-
-TEST(PrefetchPipelineTest, FaultRecoverySurvivesStagedPipeline)
-{
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 128;
-    RawDataGenerator gen(cfg);
-    constexpr size_t kBatches = 10;
 
     FaultSpec spec;
     spec.transient_read_error_prob = 0.2;
     spec.corruption_prob = 0.2;
     const FaultInjector faults(spec);
-
-    auto runChecksum = [&](bool prefetch, RunStats& stats) {
-        PartitionStore store(gen);
-        store.setFaultInjector(&faults);
-        PreprocessManager manager(cfg, store, PreprocessMode::kDisaggCpu,
-                                  2, 4, prefetch);
-        manager.start(kBatches);
-        uint64_t sum = 0;
-        size_t count = 0;
-        for (;;) {
-            auto mb = manager.nextBatch();
-            if (mb == nullptr)
-                break;
-            sum ^= batchChecksum(*mb);
-            ++count;
-            manager.recycle(std::move(mb));
-        }
-        EXPECT_EQ(count, kBatches);
-        stats = manager.stats();
-        return sum;
+    auto makeStore = [&] {
+        auto store = std::make_unique<PartitionStore>(gen);
+        if (faulty)
+            store->setFaultInjector(&faults);
+        return store;
     };
 
-    RunStats staged, unstaged;
-    const uint64_t staged_sum = runChecksum(true, staged);
-    const uint64_t unstaged_sum = runChecksum(false, unstaged);
-    // Injected faults never change delivered bits — only retry counters.
-    EXPECT_EQ(staged_sum, unstaged_sum);
-    EXPECT_GT(staged.transient_read_errors, 0u);
-    EXPECT_EQ(staged.transient_read_errors, unstaged.transient_read_errors);
-    EXPECT_EQ(staged.corrupt_partition_refetches,
-              unstaged.corrupt_partition_refetches);
+    // Reference: one producer and one transform, partition by partition
+    // on this thread. Fault draws are keyed by (partition, attempt), so
+    // every schedule sees the same faults.
+    uint64_t want_sum = 0;
+    ProduceStats want;
+    {
+        auto store = makeStore();
+        PartitionProducer producer;
+        Preprocessor preprocessor(cfg);
+        RowBatch batch;
+        MiniBatch mb;
+        BatchArena arena;
+        for (uint64_t pid = 0; pid < kBatches; ++pid) {
+            ASSERT_TRUE(producer.produce(*store, pid, batch).ok());
+            want.transient_errors += producer.lastStats().transient_errors;
+            want.corrupt_refetches += producer.lastStats().corrupt_refetches;
+            preprocessor.preprocessInto(batch, mb, arena);
+            want_sum ^= batchChecksum(mb);
+        }
+    }
+    if (faulty) {
+        EXPECT_GT(want.transient_errors, 0u);
+    }
+
+    auto store = makeStore();
+    PreprocessManager manager(cfg, *store, PreprocessMode::kDisaggCpu,
+                              workers, 4);
+    manager.start(kBatches);
+    uint64_t sum = 0;
+    size_t count = 0;
+    while (auto mb = manager.nextBatch()) {
+        EXPECT_TRUE(mb->consistent());
+        sum ^= batchChecksum(*mb);
+        ++count;
+        manager.recycle(std::move(mb));
+    }
+    // XOR-folded checksums are order-independent; injected faults never
+    // change delivered bits, only retry counters.
+    EXPECT_EQ(count, kBatches);
+    EXPECT_EQ(manager.stats().batches_delivered, kBatches);
+    EXPECT_EQ(sum, want_sum);
+    EXPECT_EQ(manager.stats().transient_read_errors, want.transient_errors);
+    EXPECT_EQ(manager.stats().corrupt_partition_refetches,
+              want.corrupt_refetches);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkersByStore, ManagerWorkerSweepTest,
+    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+        return std::to_string(std::get<0>(info.param)) + "_workers_" +
+               (std::get<1>(info.param) ? "faulty" : "clean");
+    });
 
 }  // namespace
 }  // namespace presto

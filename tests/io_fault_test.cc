@@ -307,7 +307,7 @@ TEST(ManagerIoFaultTest, PipelineRecoversIdenticalDataOverFaultyRing)
     opt.faults = &faults;
     IoRing ring(opt);
     PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 2,
-                              /*queue_capacity=*/8, /*prefetch=*/true,
+                              /*queue_capacity=*/8,
                               /*decode_pool=*/nullptr, &ring);
     EXPECT_EQ(drainChecksum(manager, batches), reference);
     const RunStats stats = manager.stats();

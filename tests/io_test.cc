@@ -302,7 +302,7 @@ TEST(AsyncReaderTest, SharedDecodePoolMatchesSerialDecode)
     IoRing ring;
 
     // Two readers over one ring and one pool, decoding different
-    // partitions concurrently — the Figure 9 fetcher arrangement.
+    // partitions concurrently — the Figure 9 worker arrangement.
     std::vector<RowBatch> got(2);
     std::vector<std::thread> threads;
     std::atomic<int> failures{0};
@@ -371,7 +371,7 @@ TEST(ManagerIoTest, RingDeliveryBitIdenticalToBlockingFetch)
     PartitionStore store(gen);
     IoRing ring;
     PreprocessManager async_mgr(cfg, store, PreprocessMode::kPreSto, 2,
-                                /*queue_capacity=*/8, /*prefetch=*/true,
+                                /*queue_capacity=*/8,
                                 /*decode_pool=*/nullptr, &ring);
     EXPECT_EQ(drainChecksum(async_mgr, batches), reference);
     EXPECT_EQ(async_mgr.stats().batches_delivered, batches);
@@ -400,9 +400,38 @@ TEST(ManagerIoTest, RingPlusSharedDecodePoolDeliversIdentically)
     ThreadPool pool(2);
     IoRing ring;
     PreprocessManager async_mgr(cfg, store, PreprocessMode::kPreSto, 2,
-                                /*queue_capacity=*/8, /*prefetch=*/true,
+                                /*queue_capacity=*/8,
                                 &pool, &ring);
     EXPECT_EQ(drainChecksum(async_mgr, batches), reference);
+}
+
+TEST(ManagerIoTest, EveryWorkerKeepsItsOwnReadWindowInFlight)
+{
+    // Every worker Extracts through its own reader, so with a slow
+    // one-worker device the ring queues more than one reader's window.
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 128;
+    RawDataGenerator gen(cfg);
+    const size_t batches = 6;
+
+    // The blocking run also materializes every partition, so the ring
+    // workers below go straight to reading instead of taking turns
+    // generating partitions under the store's lock.
+    PartitionStore store(gen);
+    PreprocessManager blocking_mgr(cfg, store, PreprocessMode::kPreSto, 1);
+    const uint64_t reference = drainChecksum(blocking_mgr, batches);
+
+    IoRingOptions opt;
+    opt.workers = 1;
+    opt.emulate_latency = true;
+    opt.latency_scale = 20.0;
+    IoRing ring(opt);
+    PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 3,
+                              /*queue_capacity=*/8,
+                              /*decode_pool=*/nullptr, &ring);
+    EXPECT_EQ(drainChecksum(manager, batches), reference);
+    EXPECT_GT(ring.statsSnapshot().max_queue_depth,
+              AsyncReadOptions{}.queue_depth);
 }
 
 // --- file-backed (pread) requests -------------------------------------------

@@ -415,7 +415,7 @@ TEST(ManagerStoreTest, ColdReadPipelineMatchesMemoryPipeline)
     PartitionStore memory_store(gen);
     IoRing memory_ring;
     PreprocessManager memory_mgr(cfg, memory_store, PreprocessMode::kPreSto,
-                                 2, /*queue_capacity=*/8, /*prefetch=*/true,
+                                 2, /*queue_capacity=*/8,
                                  /*decode_pool=*/nullptr, &memory_ring);
     const uint64_t reference = drainChecksum(memory_mgr, batches);
 
@@ -426,7 +426,7 @@ TEST(ManagerStoreTest, ColdReadPipelineMatchesMemoryPipeline)
     cold_store.enablePersistence(store.get());
     IoRing ring;
     PreprocessManager cold_mgr(cfg, cold_store, PreprocessMode::kPreSto, 2,
-                               /*queue_capacity=*/8, /*prefetch=*/true,
+                               /*queue_capacity=*/8,
                                /*decode_pool=*/nullptr, &ring);
     EXPECT_EQ(drainChecksum(cold_mgr, batches), reference);
     EXPECT_EQ(store->listSegments().size(), batches);
