@@ -94,7 +94,12 @@ struct PageReadPlan {
 
 /** Writer knobs. */
 struct WriterOptions {
-    /** Force a specific encoding for sparse values (nullopt = choose). */
+    /**
+     * Store every int stream (sparse values and row lengths alike) as
+     * kPlainI64 instead of choosing the smallest encoding per page.
+     * Dense float streams are kPlainF32 either way; the codec still
+     * applies.
+     */
     bool force_plain = false;
     /**
      * Per-page compression applied to encoded payloads. The value

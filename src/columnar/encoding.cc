@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
-#include <unordered_map>
 
 #include "columnar/fast_decode_internal.h"
 
@@ -40,21 +39,96 @@ packedBytes(size_t count, size_t width)
     return (count * width + 7) / 8;
 }
 
-/** Append @p width-bit values LSB-first (reference bit-by-bit packer). */
+/** Append @p values packed @p width bits each (see detail::packBits). */
 void
 putPackedBits(std::vector<uint8_t>& out, std::span<const uint64_t> values,
               size_t width)
 {
     const size_t start = out.size();
-    out.resize(start + packedBytes(values.size(), width), 0);
-    uint8_t* bytes = out.data() + start;
-    size_t bit = 0;
-    for (uint64_t v : values) {
-        for (size_t k = 0; k < width; ++k, ++bit) {
-            if ((v >> k) & 1)
-                bytes[bit >> 3] |= static_cast<uint8_t>(1u << (bit & 7));
-        }
+    out.resize(start + packedBytes(values.size(), width));
+    detail::packBits(values.data(), values.size(), width, out.data() + start);
+}
+
+/**
+ * Flat open-addressing map from value to first-seen ordinal: the
+ * distinct-value pass of the dictionary-flavored encoders. One per
+ * encoding thread, reused across pages (clear() rewrites only the
+ * initial slots); it doubles past half full, so it holds any number of
+ * distinct values.
+ */
+class OrdinalTable
+{
+  public:
+    void
+    clear()
+    {
+        slots_.assign(kInitialSlots, Slot{});
+        shift_ = 64 - std::countr_zero(kInitialSlots);
+        size_ = 0;
     }
+
+    /** Distinct values inserted since clear(). */
+    size_t size() const { return size_; }
+
+    /**
+     * Ordinal of @p v, assigning the next one (size() before the call)
+     * when @p v is new; @p inserted tells which.
+     */
+    uint64_t
+    insert(int64_t v, bool& inserted)
+    {
+        Slot* slot = probe(v);
+        inserted = slot->ord_plus_one == 0;
+        if (!inserted)
+            return slot->ord_plus_one - 1;
+        *slot = Slot{v, ++size_};
+        if (2 * size_ > slots_.size())
+            grow();
+        return size_ - 1;
+    }
+
+  private:
+    struct Slot {
+        int64_t key = 0;
+        uint64_t ord_plus_one = 0;  ///< 0 = empty
+    };
+    static constexpr size_t kInitialSlots = 256;
+
+    Slot*
+    probe(int64_t v)
+    {
+        const size_t mask = slots_.size() - 1;
+        size_t i = (static_cast<uint64_t>(v) * 0x9e3779b97f4a7c15ull) >>
+                   shift_;
+        while (slots_[i].ord_plus_one != 0 && slots_[i].key != v)
+            i = (i + 1) & mask;
+        return &slots_[i];
+    }
+
+    void
+    grow()
+    {
+        spare_.assign(2 * slots_.size(), Slot{});
+        slots_.swap(spare_);
+        --shift_;
+        for (const Slot& s : spare_)
+            if (s.ord_plus_one != 0)
+                *probe(s.key) = s;
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<Slot> spare_;  ///< previous generation while growing
+    int shift_ = 64;
+    size_t size_ = 0;
+};
+
+/** This thread's reusable OrdinalTable, cleared. */
+OrdinalTable&
+clearedOrdinals()
+{
+    static thread_local OrdinalTable table;
+    table.clear();
+    return table;
 }
 
 /** Parsed and validated kBitPacked header (see encoding.h framing). */
@@ -220,15 +294,15 @@ encodeRle(std::span<const int64_t> values)
 std::vector<uint8_t>
 encodeDictionary(std::span<const int64_t> values)
 {
-    std::unordered_map<int64_t, uint64_t> dict;
+    OrdinalTable& dict = clearedOrdinals();
     std::vector<int64_t> distinct;
     std::vector<uint64_t> indices;
     indices.reserve(values.size());
     for (int64_t v : values) {
-        auto [it, inserted] = dict.try_emplace(v, distinct.size());
+        bool inserted = false;
+        indices.push_back(dict.insert(v, inserted));
         if (inserted)
             distinct.push_back(v);
-        indices.push_back(it->second);
     }
     std::vector<uint8_t> out;
     putVarint(out, distinct.size());
@@ -256,14 +330,15 @@ encodeBitPacked(std::span<const int64_t> values)
         2 + varintLen(zigZag(lo)) + packedBytes(values.size(), direct_width);
 
     // Bit-packed-dictionary candidate (first-seen order, capped).
-    std::unordered_map<int64_t, uint64_t> seen;
+    OrdinalTable& seen = clearedOrdinals();
     std::vector<int64_t> distinct;
     std::vector<uint64_t> indices;
     indices.reserve(values.size());
     size_t entry_bytes = 0;
     bool dict_ok = true;
     for (int64_t v : values) {
-        auto [it, inserted] = seen.try_emplace(v, distinct.size());
+        bool inserted = false;
+        const uint64_t ordinal = seen.insert(v, inserted);
         if (inserted) {
             if (distinct.size() == kDictDistinctCap) {
                 dict_ok = false;
@@ -272,7 +347,7 @@ encodeBitPacked(std::span<const int64_t> values)
             distinct.push_back(v);
             entry_bytes += varintLen(zigZag(v));
         }
-        indices.push_back(it->second);
+        indices.push_back(ordinal);
     }
     const size_t index_width =
         distinct.empty() ? 0 : std::bit_width(distinct.size() - 1);
@@ -617,7 +692,7 @@ chooseIntEncoding(std::span<const int64_t> values)
         return Encoding::kVarint;
 
     // One pass accumulating the exact encoded size of every candidate.
-    std::unordered_map<int64_t, uint64_t> seen;
+    OrdinalTable& seen = clearedOrdinals();
     size_t varint_bytes = 0;
     size_t delta_bytes = 0;
     size_t rle_bytes = 0;
@@ -656,13 +731,14 @@ chooseIntEncoding(std::span<const int64_t> values)
             run_len = 1;
         }
         if (dict_ok) {
-            auto [it, inserted] = seen.try_emplace(v, seen.size());
+            bool inserted = false;
+            const uint64_t ordinal = seen.insert(v, inserted);
             if (inserted && seen.size() > kDictDistinctCap)
                 dict_ok = false;
             if (dict_ok) {
                 if (inserted)
                     dict_entry_bytes += varintLen(zigZag(v));
-                dict_index_bytes += varintLen(it->second);
+                dict_index_bytes += varintLen(ordinal);
             }
         }
     }
@@ -713,5 +789,35 @@ chooseIntEncoding(std::span<const int64_t> values)
     return best;
 }
 
+namespace detail {
+
+void
+packBits(const uint64_t* values, size_t count, size_t width, uint8_t* out)
+{
+    if (width == 0)
+        return;
+    const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+    // Whole 64-bit words go out as they fill; a value straddling a
+    // word boundary leaves its high bits in the next word.
+    uint64_t word = 0;
+    size_t fill = 0;  // bits pending in word, < 64
+    for (size_t i = 0; i < count; ++i) {
+        const uint64_t v = values[i] & mask;
+        word |= v << fill;
+        fill += width;
+        if (fill >= 64) {
+            std::memcpy(out, &word, sizeof(word));
+            out += sizeof(word);
+            fill -= 64;
+            word = fill == 0 ? 0 : v >> (width - fill);
+        }
+    }
+    for (; fill > 0; fill -= std::min<size_t>(fill, 8)) {
+        *out++ = static_cast<uint8_t>(word);
+        word >>= 8;
+    }
+}
+
+}  // namespace detail
 }  // namespace enc
 }  // namespace presto

@@ -51,6 +51,7 @@
 #ifndef PRESTO_COLUMNAR_ENCODING_H_
 #define PRESTO_COLUMNAR_ENCODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -91,12 +92,8 @@ Status getVarint(std::span<const uint8_t> in, size_t& pos, uint64_t& value);
 constexpr size_t
 varintLen(uint64_t value)
 {
-    size_t n = 1;
-    while (value >= 0x80) {
-        value >>= 7;
-        ++n;
-    }
-    return n;
+    // One byte per started 7-bit group; zero still takes one byte.
+    return (static_cast<size_t>(std::bit_width(value | 1)) + 6) / 7;
 }
 
 /** ZigZag-map a signed value to unsigned. */

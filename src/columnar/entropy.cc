@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "columnar/encoding.h"
+#include "columnar/fast_decode_internal.h"
 
 namespace presto {
 namespace {
@@ -22,64 +23,6 @@ reverseBits(uint32_t code, int len)
     for (int i = 0; i < len; ++i)
         rev |= ((code >> i) & 1u) << (len - 1 - i);
     return rev;
-}
-
-/**
- * Length-limited code lengths via package-merge (Larmore-Hirschberg).
- * Guarantees a Kraft-complete set of lengths <= kMaxHuffCodeLen for any
- * 2..256 active symbols, which a plain Huffman tree plus ad-hoc depth
- * repair does not.
- */
-void
-packageMerge(const std::array<uint64_t, kNumSymbols>& freq,
-             std::array<uint8_t, kNumSymbols>& lengths)
-{
-    struct Node {
-        uint64_t weight;
-        // Symbols covered by this (possibly packaged) node; a symbol's
-        // final code length is its occurrence count across the chosen
-        // prefix of the last level.
-        std::vector<uint16_t> syms;
-    };
-
-    std::vector<Node> items;
-    for (uint32_t s = 0; s < kNumSymbols; ++s)
-        if (freq[s] > 0)
-            items.push_back({freq[s], {static_cast<uint16_t>(s)}});
-    std::sort(items.begin(), items.end(),
-              [](const Node& a, const Node& b) {
-                  return a.weight != b.weight ? a.weight < b.weight
-                                              : a.syms[0] < b.syms[0];
-              });
-
-    std::vector<Node> prev = items;
-    for (int level = 1; level < kMaxHuffCodeLen; ++level) {
-        std::vector<Node> packages;
-        for (size_t i = 0; i + 1 < prev.size(); i += 2) {
-            Node merged;
-            merged.weight = prev[i].weight + prev[i + 1].weight;
-            merged.syms = prev[i].syms;
-            merged.syms.insert(merged.syms.end(), prev[i + 1].syms.begin(),
-                               prev[i + 1].syms.end());
-            packages.push_back(std::move(merged));
-        }
-        std::vector<Node> next;
-        next.reserve(items.size() + packages.size());
-        std::merge(items.begin(), items.end(),
-                   std::make_move_iterator(packages.begin()),
-                   std::make_move_iterator(packages.end()),
-                   std::back_inserter(next),
-                   [](const Node& a, const Node& b) {
-                       return a.weight < b.weight;
-                   });
-        prev = std::move(next);
-    }
-
-    lengths.fill(0);
-    const size_t chosen = 2 * items.size() - 2;
-    for (size_t i = 0; i < chosen && i < prev.size(); ++i)
-        for (uint16_t s : prev[i].syms)
-            ++lengths[s];
 }
 
 /**
@@ -197,6 +140,83 @@ loadLe64(const uint8_t* p)
 
 }  // namespace
 
+namespace enc::detail {
+
+/*
+ * Length-limited code lengths via package-merge (Larmore-Hirschberg).
+ * Guarantees a Kraft-complete set of lengths <= kMaxHuffCodeLen for any
+ * 2..256 active symbols, which a plain Huffman tree plus ad-hoc depth
+ * repair does not.
+ *
+ * Counting form: level 0 lists the items; level L merges the items
+ * with the pairwise packages of level L-1. Each level keeps only node
+ * weights and kinds. The top level's first 2n-2 nodes are chosen; the
+ * first c nodes of level L hold some leaves (a prefix of the items,
+ * each one bit longer) and p packages, which choose the first 2p nodes
+ * of level L-1.
+ */
+void
+packageMerge(const std::array<uint64_t, kNumSymbols>& freq,
+             std::array<uint8_t, kNumSymbols>& lengths)
+{
+    constexpr size_t kMaxNodes = 2 * kNumSymbols;  // a level holds < 2n
+    std::array<uint16_t, kNumSymbols> item_sym{};
+    size_t n = 0;
+    for (uint32_t s = 0; s < kNumSymbols; ++s)
+        if (freq[s] > 0)
+            item_sym[n++] = static_cast<uint16_t>(s);
+    std::sort(item_sym.begin(), item_sym.begin() + n,
+              [&freq](uint16_t a, uint16_t b) {
+                  return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
+              });
+    std::array<uint64_t, kNumSymbols> item_weight{};
+    for (size_t i = 0; i < n; ++i)
+        item_weight[i] = freq[item_sym[i]];
+
+    std::array<std::array<uint64_t, kMaxNodes>, 2> weight{};
+    std::array<std::array<bool, kMaxNodes>, kMaxHuffCodeLen> is_package{};
+    std::array<size_t, kMaxHuffCodeLen> level_size{};
+    std::copy_n(item_weight.begin(), n, weight[0].begin());
+    level_size[0] = n;
+    for (int level = 1; level < kMaxHuffCodeLen; ++level) {
+        const auto& prev = weight[(level - 1) & 1];
+        auto& next = weight[level & 1];
+        const size_t packages = level_size[level - 1] / 2;
+        size_t i = 0;
+        size_t p = 0;
+        size_t k = 0;
+        // An item goes first on equal weight.
+        while (i < n || p < packages) {
+            const bool take_package =
+                p < packages &&
+                (i == n || prev[2 * p] + prev[2 * p + 1] < item_weight[i]);
+            if (take_package) {
+                next[k] = prev[2 * p] + prev[2 * p + 1];
+                ++p;
+            } else {
+                next[k] = item_weight[i];
+                ++i;
+            }
+            is_package[level][k++] = take_package;
+        }
+        level_size[level] = k;
+    }
+
+    lengths.fill(0);
+    size_t chosen = std::min(2 * n - 2, level_size[kMaxHuffCodeLen - 1]);
+    for (int level = kMaxHuffCodeLen - 1; level >= 0 && chosen > 0;
+         --level) {
+        const size_t packages =
+            std::count(is_package[level].begin(),
+                       is_package[level].begin() + chosen, true);
+        for (size_t i = 0; i < chosen - packages; ++i)
+            ++lengths[item_sym[i]];
+        chosen = 2 * packages;
+    }
+}
+
+}  // namespace enc::detail
+
 namespace enc {
 
 void
@@ -207,9 +227,24 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
     if (in.empty())
         return;
 
+    // Four sub-histograms, so a run of one byte value does not
+    // serialize on a single counter.
+    const size_t n = in.size();
     std::array<uint64_t, kNumSymbols> freq{};
-    for (uint8_t b : in)
-        ++freq[b];
+    {
+        std::array<std::array<uint64_t, kNumSymbols>, 4> sub{};
+        size_t i = 0;
+        for (; i + 4 <= n; i += 4) {
+            ++sub[0][in[i]];
+            ++sub[1][in[i + 1]];
+            ++sub[2][in[i + 2]];
+            ++sub[3][in[i + 3]];
+        }
+        for (; i < n; ++i)
+            ++sub[0][in[i]];
+        for (uint32_t s = 0; s < kNumSymbols; ++s)
+            freq[s] = sub[0][s] + sub[1][s] + sub[2][s] + sub[3][s];
+    }
     uint32_t distinct = 0;
     uint32_t only = 0;
     for (uint32_t s = 0; s < kNumSymbols; ++s)
@@ -224,7 +259,7 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
     }
 
     std::array<uint8_t, kNumSymbols> lengths{};
-    packageMerge(freq, lengths);
+    detail::packageMerge(freq, lengths);
     std::array<uint16_t, kNumSymbols> codes{};
     canonicalCodes(lengths, codes);
 
@@ -240,30 +275,45 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
 
     // Pack the lanes into reused scratch first: their byte sizes go in
     // the header ahead of them (all but the last, which the stream end
-    // implies).
+    // implies). Each lane adds codes to a 64-bit word and stores the
+    // whole word, advancing by its completed bytes; the stale bytes a
+    // store leaves past them are overwritten by the next one. Room:
+    // kMaxHuffCodeLen bits per byte, a padded byte per lane, and the
+    // last store's 8-byte overrun.
     static thread_local std::vector<uint8_t> lane_buf;
-    lane_buf.clear();
-    const size_t n = in.size();
+    lane_buf.resize((n * kMaxHuffCodeLen + 7) / 8 + kNumHuffLanes + 8);
+    uint8_t* dst = lane_buf.data();
     size_t lane_bytes[kNumHuffLanes];
     for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
-        const size_t begin = n * k / kNumHuffLanes;
         const size_t end = n * (k + 1) / kNumHuffLanes;
-        const size_t start = lane_buf.size();
+        const uint8_t* const lane_start = dst;
         uint64_t bitbuf = 0;
         uint32_t bitcount = 0;
-        for (size_t i = begin; i < end; ++i) {
-            const uint8_t b = in[i];
+        const auto put = [&](uint8_t b) {
             bitbuf |= static_cast<uint64_t>(emit[b]) << bitcount;
             bitcount += lengths[b];
-            while (bitcount >= 8) {
-                lane_buf.push_back(static_cast<uint8_t>(bitbuf));
-                bitbuf >>= 8;
-                bitcount -= 8;
-            }
+        };
+        const auto flush = [&] {
+            std::memcpy(dst, &bitbuf, sizeof(bitbuf));
+            dst += bitcount >> 3;
+            bitbuf >>= bitcount & ~7u;  // <= 7 + 4 * 11 bits pending
+            bitcount &= 7;
+        };
+        size_t i = n * k / kNumHuffLanes;
+        for (; i + 4 <= end; i += 4) {
+            put(in[i]);
+            put(in[i + 1]);
+            put(in[i + 2]);
+            put(in[i + 3]);
+            flush();
+        }
+        for (; i < end; ++i) {
+            put(in[i]);
+            flush();
         }
         if (bitcount > 0)
-            lane_buf.push_back(static_cast<uint8_t>(bitbuf));
-        lane_bytes[k] = lane_buf.size() - start;
+            *dst++ = static_cast<uint8_t>(bitbuf);
+        lane_bytes[k] = static_cast<size_t>(dst - lane_start);
     }
 
     for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k)
@@ -271,7 +321,7 @@ huffCompress(std::span<const uint8_t> in, std::vector<uint8_t>& out)
     for (uint32_t i = 0; i < kTableBytes; ++i)
         out.push_back(
             static_cast<uint8_t>(lengths[2 * i] | lengths[2 * i + 1] << 4));
-    out.insert(out.end(), lane_buf.begin(), lane_buf.end());
+    out.insert(out.end(), lane_buf.data(), dst);
 }
 
 std::vector<uint8_t>

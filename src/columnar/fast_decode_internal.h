@@ -23,6 +23,9 @@
  * All loads are strictly in-bounds — word-wide fast paths stop early and
  * hand the buffer tail to byte-exact loops, so payloads that end flush
  * against a page (or allocation) boundary never over-read.
+ *
+ * The writer's bit packer and package-merge are declared here too, for
+ * the byte-identity tests (tests/writer_test.cc).
  */
 #ifndef PRESTO_COLUMNAR_FAST_DECODE_INTERNAL_H_
 #define PRESTO_COLUMNAR_FAST_DECODE_INTERNAL_H_
@@ -352,6 +355,28 @@ void unpackBits(const uint8_t* in, size_t in_bytes, size_t width,
 /** In-place dictionary materialization at the active SIMD level. */
 bool gatherDict(const int64_t* dict, uint64_t dict_size, int64_t* inout,
                 size_t count);
+
+// --- writer kernels (encoding.cc, entropy.cc) ----------------------------
+// Declared here rather than in the public headers so the byte-identity
+// tests can check them against the reference loops they replaced.
+
+/**
+ * Pack the low @p width bits of each of @p count values LSB-first into
+ * exactly ceil(count * width / 8) bytes at @p out, zeroing the unused
+ * high bits of the final byte; bits above @p width are ignored. The
+ * inverse of unpackBitsWord, a 64-bit word at a time.
+ */
+void packBits(const uint64_t* values, size_t count, size_t width,
+              uint8_t* out);
+
+/**
+ * Code lengths, each at most kMaxHuffCodeLen (entropy.h), for the
+ * histogram @p freq of 2..256 active symbols: package-merge over items
+ * sorted by (weight, symbol), packages after items on equal weight.
+ * Inactive symbols get length 0.
+ */
+void packageMerge(const std::array<uint64_t, 256>& freq,
+                  std::array<uint8_t, 256>& lengths);
 
 }  // namespace presto::enc::detail
 

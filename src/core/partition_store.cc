@@ -25,6 +25,29 @@ PartitionStore::partitionLocked(uint64_t partition_id)
     return insertCacheLocked(partition_id, writer_.write(raw, partition_id));
 }
 
+StatusOr<PartitionBuffer>
+PartitionStore::loadLocked(uint64_t partition_id)
+{
+    if (auto cached = partitions_.find(partition_id);
+        cached != partitions_.end())
+        return cached->second;
+    if (segments_ != nullptr) {
+        // Persistent mode: stream the committed bytes back off the
+        // segment store rather than silently regenerating them.
+        auto info = segments_->segmentForPartition(partition_id);
+        if (info.ok()) {
+            auto raw = segments_->readSegmentRaw(info->meta.segment_id);
+            if (!raw.ok())
+                return raw.status();
+            ++disk_reads_;
+            return insertCacheLocked(partition_id, *std::move(raw));
+        }
+        if (info.status().code() != StatusCode::kNotFound)
+            return info.status();
+    }
+    return partitionLocked(partition_id);
+}
+
 const PartitionBuffer&
 PartitionStore::insertCacheLocked(uint64_t partition_id,
                                   std::vector<uint8_t> bytes)
@@ -107,29 +130,10 @@ PartitionStore::fetchShared(uint64_t partition_id, uint64_t attempt,
             return hot->second;
         }
         ++cold_fetches_;
-        auto cached = partitions_.find(partition_id);
-        if (cached != partitions_.end()) {
-            bytes = cached->second;
-        } else if (segments_ != nullptr) {
-            // Cold pin of an evicted partition in persistent mode:
-            // stream the encoded bytes back off the segment store
-            // rather than silently regenerating them.
-            auto info = segments_->segmentForPartition(partition_id);
-            if (info.ok()) {
-                auto raw = segments_->readSegmentRaw(
-                    info->meta.segment_id);
-                if (!raw.ok())
-                    return raw.status();
-                ++disk_reads_;
-                bytes = insertCacheLocked(partition_id, *std::move(raw));
-            } else if (info.status().code() == StatusCode::kNotFound) {
-                bytes = partitionLocked(partition_id);
-            } else {
-                return info.status();
-            }
-        } else {
-            bytes = partitionLocked(partition_id);
-        }
+        auto loaded = loadLocked(partition_id);
+        if (!loaded.ok())
+            return loaded.status();
+        bytes = *std::move(loaded);
         faults = faults_;
     }
     if (faults == nullptr)
@@ -187,9 +191,12 @@ PartitionStore::promotePartition(uint64_t partition_id)
         return Status::failedPrecondition("hot tier is disabled");
     if (hot_.count(partition_id) != 0)
         return Status::okStatus();
-    // The tier shares the cached buffer, so hot bytes are the very
-    // bytes a cold fetch would serve.
-    const PartitionBuffer& bytes = partitionLocked(partition_id);
+    // Hot bytes are the very bytes a cold fetch would serve: the
+    // committed segment's in persistent mode.
+    auto loaded = loadLocked(partition_id);
+    if (!loaded.ok())
+        return loaded.status();
+    const PartitionBuffer& bytes = *loaded;
     if (hot_bytes_ + bytes->size() > hot_budget_bytes_) {
         return Status::resourceExhausted(
             "hot tier budget exhausted (" +

@@ -126,10 +126,15 @@ class PartitionStore
     void setHotTierBudget(uint64_t bytes);
 
     /**
-     * Pin @p partition_id's encoded bytes into the hot tier; the tier
-     * shares the cached buffer. kResourceExhausted when the budget
-     * cannot hold it (callers stop promoting the rest of the epoch); ok
-     * and idempotent otherwise.
+     * Pin @p partition_id's encoded bytes into the hot tier. The tier
+     * shares the buffer a cold fetch would serve: the cached one, else
+     * (persistent mode) the bytes committed to the live segment, read
+     * back and counted in diskReads(); only a partition with no segment
+     * is generated and encoded. kResourceExhausted when the budget
+     * cannot hold it (callers stop promoting the rest of the epoch); a
+     * segment read error (a corrupt segment is quarantined by the read)
+     * is returned and the partition stays cold; ok and idempotent
+     * otherwise.
      */
     Status promotePartition(uint64_t partition_id);
 
@@ -148,7 +153,8 @@ class PartitionStore
     /** Fetches served outside the hot tier (cache, disk, generator). */
     uint64_t coldFetches() const;
 
-    /** Cold fetches that re-read encoded bytes off the segment store. */
+    /** Segment-store reads of encoded bytes: cold fetches and hot-tier
+        promotions that missed the cache in persistent mode. */
     uint64_t diskReads() const;
 
     // --- Retirement ------------------------------------------------------
@@ -202,6 +208,10 @@ class PartitionStore
   private:
     /** Materialize (if needed) and return @p partition_id; mu_ held. */
     const PartitionBuffer& partitionLocked(uint64_t partition_id);
+    /** Encoded bytes of @p partition_id off the device path: the cached
+        buffer, else the live segment (counted in diskReads()), else
+        the generator when no segment holds it; mu_ held. */
+    StatusOr<PartitionBuffer> loadLocked(uint64_t partition_id);
     /** Insert freshly obtained encoded bytes into the cache and evict
         past the budget; mu_ held. Returns the cached entry. */
     const PartitionBuffer& insertCacheLocked(uint64_t partition_id,

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "columnar/columnar_file.h"
 #include "common/fault_injector.h"
 #include "core/partition_store.h"
 #include "datagen/generator.h"
@@ -437,6 +438,83 @@ TEST(PartitionStoreTieringTest, HotTierBudgetAndRetire)
     EXPECT_EQ(store.fetchPartition(2).status().code(),
               StatusCode::kNotFound);
     EXPECT_EQ(store.promotePartition(2).code(), StatusCode::kNotFound);
+}
+
+TEST(PartitionStoreTieringTest, PromotionServesDurableBytesAfterEviction)
+{
+    // Two stores over one generator and one segment store: the first
+    // commits partitions uncompressed, the second would encode them
+    // with the full codec menu. Promotion through the second must hand
+    // out the committed bytes, not a re-encode with its own writer.
+    RawDataGenerator generator(smallConfig());
+    auto segments = openStore(freshDir("promote_durable"));
+    WriterOptions plain;
+    plain.codec = PageCodec::kNone;
+    PartitionStore committer(generator, plain);
+    committer.enablePersistence(segments.get());
+    ASSERT_TRUE(committer.persistPartition(1).ok());
+    ASSERT_TRUE(committer.persistPartition(2).ok());
+
+    WriterOptions full;
+    full.codec = PageCodec::kLzEntropy;
+    PartitionStore store(generator, full);
+    store.enablePersistence(segments.get());
+    const uint64_t partition_bytes = committer.partitionBytes(1);
+    store.setCacheBudget(partition_bytes / 2);  // below one partition
+    store.setHotTierBudget(4 * partition_bytes);
+    ASSERT_TRUE(store.fetchShared(1).ok());
+    ASSERT_TRUE(store.fetchShared(2).ok());  // evicts partition 1
+    ASSERT_EQ(store.evictions(), 1u);
+
+    const uint64_t disk_reads = store.diskReads();
+    ASSERT_TRUE(store.promotePartition(1).ok());
+    EXPECT_EQ(store.diskReads(), disk_reads + 1);
+    bool hot = false;
+    auto served = store.fetchShared(1, 0, &hot);
+    ASSERT_TRUE(served.ok());
+    EXPECT_TRUE(hot);
+    auto info = segments->segmentForPartition(1);
+    ASSERT_TRUE(info.ok());
+    auto durable = segments->readSegmentRaw(info->meta.segment_id);
+    ASSERT_TRUE(durable.ok());
+    EXPECT_EQ(**served, *durable);
+    // The second store's own encoding differs, so the check above
+    // tells a shared segment from a re-encode.
+    EXPECT_NE(*durable, ColumnarFileWriter(full).write(
+                            generator.generatePartition(1), 1));
+}
+
+TEST(PartitionStoreTieringTest, PromotionOfCorruptSegmentLeavesItCold)
+{
+    RawDataGenerator generator(smallConfig());
+    auto segments = openStore(freshDir("promote_corrupt"));
+    PartitionStore store(generator);
+    store.enablePersistence(segments.get());
+    auto segment_id = store.persistPartition(1);
+    ASSERT_TRUE(segment_id.ok());
+    const std::vector<uint8_t> pristine = *store.partition(1);
+    store.setCacheBudget(1);  // hold nothing but the latest partition
+    ASSERT_TRUE(store.fetchShared(2).ok());  // evicts partition 1
+
+    // Flip one byte of the committed segment on disk.
+    auto info = segments->segmentForPartition(1);
+    ASSERT_TRUE(info.ok());
+    const std::string path = segments->segmentPath(info->meta);
+    auto bytes = loadFromFile(path);
+    ASSERT_TRUE(bytes.ok());
+    (*bytes)[bytes->size() / 2] ^= 0x01;
+    ASSERT_TRUE(saveToFile(path, *bytes).ok());
+
+    store.setHotTierBudget(1u << 20);
+    EXPECT_EQ(store.promotePartition(1).code(), StatusCode::kCorruption);
+    EXPECT_EQ(store.hotTierCount(), 0u);
+    // The read quarantined the segment; the next cold fetch
+    // re-materializes the same bytes from the generator.
+    bool hot = true;
+    auto refetched = store.fetchShared(1, 0, &hot);
+    ASSERT_TRUE(refetched.ok());
+    EXPECT_FALSE(hot);
+    EXPECT_EQ(**refetched, pristine);
 }
 
 TEST(IngestServiceTest, SessionStatsSeparateHotAndColdFetches)
