@@ -8,55 +8,80 @@ PartitionStore::PartitionStore(const RawDataGenerator& generator,
 {
 }
 
+namespace {
+
+Status
+retiredStatus(uint64_t partition_id)
+{
+    return Status::notFound("partition " + std::to_string(partition_id) +
+                            " is retired");
+}
+
+}  // namespace
+
+PartitionBuffer
+PartitionStore::materialize(uint64_t partition_id) const
+{
+    return std::make_shared<const std::vector<uint8_t>>(writer_.write(
+        generator_.generatePartition(partition_id), partition_id));
+}
+
+PartitionBuffer
+PartitionStore::cached(uint64_t partition_id) const
+{
+    std::scoped_lock lock(mu_);
+    auto it = partitions_.find(partition_id);
+    return it != partitions_.end() ? it->second : nullptr;
+}
+
 PartitionBuffer
 PartitionStore::partition(uint64_t partition_id)
 {
+    if (PartitionBuffer hit = cached(partition_id))
+        return hit;
+    PartitionBuffer bytes = materialize(partition_id);
     std::scoped_lock lock(mu_);
-    return partitionLocked(partition_id);
-}
-
-const PartitionBuffer&
-PartitionStore::partitionLocked(uint64_t partition_id)
-{
-    auto it = partitions_.find(partition_id);
-    if (it != partitions_.end())
-        return it->second;
-    RowBatch raw = generator_.generatePartition(partition_id);
-    return insertCacheLocked(partition_id, writer_.write(raw, partition_id));
+    return insertCacheLocked(partition_id, std::move(bytes));
 }
 
 StatusOr<PartitionBuffer>
-PartitionStore::loadLocked(uint64_t partition_id)
+PartitionStore::load(uint64_t partition_id)
 {
-    if (auto cached = partitions_.find(partition_id);
-        cached != partitions_.end())
-        return cached->second;
-    if (segments_ != nullptr) {
+    PartitionBuffer bytes;
+    if (SegmentStore* segments = segmentStore(); segments != nullptr) {
         // Persistent mode: stream the committed bytes back off the
         // segment store rather than silently regenerating them.
-        auto info = segments_->segmentForPartition(partition_id);
+        auto info = segments->segmentForPartition(partition_id);
         if (info.ok()) {
-            auto raw = segments_->readSegmentRaw(info->meta.segment_id);
+            auto raw = segments->readSegmentRaw(info->meta.segment_id);
             if (!raw.ok())
                 return raw.status();
-            ++disk_reads_;
-            return insertCacheLocked(partition_id, *std::move(raw));
-        }
-        if (info.status().code() != StatusCode::kNotFound)
+            bytes = std::make_shared<const std::vector<uint8_t>>(
+                *std::move(raw));
+        } else if (info.status().code() != StatusCode::kNotFound) {
             return info.status();
+        }
     }
-    return partitionLocked(partition_id);
+    const bool from_disk = bytes != nullptr;
+    if (!from_disk)
+        bytes = materialize(partition_id);
+    std::scoped_lock lock(mu_);
+    if (from_disk)
+        ++disk_reads_;
+    // Retired while loading: the bytes must not come back to life.
+    if (retired_.count(partition_id) != 0)
+        return retiredStatus(partition_id);
+    return insertCacheLocked(partition_id, std::move(bytes));
 }
 
-const PartitionBuffer&
+PartitionBuffer
 PartitionStore::insertCacheLocked(uint64_t partition_id,
-                                  std::vector<uint8_t> bytes)
+                                  PartitionBuffer bytes)
 {
-    auto it = partitions_
-                  .emplace(partition_id,
-                           std::make_shared<const std::vector<uint8_t>>(
-                               std::move(bytes)))
-                  .first;
+    auto [it, inserted] =
+        partitions_.try_emplace(partition_id, std::move(bytes));
+    if (!inserted)
+        return it->second;  // another thread cached the same bytes first
     cache_order_.push_back(partition_id);
     cached_bytes_ += it->second->size();
     // Evict oldest entries past the budget — but never the one just
@@ -116,11 +141,8 @@ PartitionStore::fetchShared(uint64_t partition_id, uint64_t attempt,
     PartitionBuffer bytes;
     {
         std::scoped_lock lock(mu_);
-        if (retired_.count(partition_id) != 0) {
-            return Status::notFound("partition " +
-                                    std::to_string(partition_id) +
-                                    " is retired");
-        }
+        if (retired_.count(partition_id) != 0)
+            return retiredStatus(partition_id);
         if (auto hot = hot_.find(partition_id); hot != hot_.end()) {
             // Hot-tier hit: served from memory, never touches the
             // device path — so no fault draw either.
@@ -130,11 +152,15 @@ PartitionStore::fetchShared(uint64_t partition_id, uint64_t attempt,
             return hot->second;
         }
         ++cold_fetches_;
-        auto loaded = loadLocked(partition_id);
+        faults = faults_;
+        if (auto it = partitions_.find(partition_id); it != partitions_.end())
+            bytes = it->second;
+    }
+    if (bytes == nullptr) {
+        auto loaded = load(partition_id);
         if (!loaded.ok())
             return loaded.status();
         bytes = *std::move(loaded);
-        faults = faults_;
     }
     if (faults == nullptr)
         return bytes;
@@ -181,32 +207,41 @@ PartitionStore::shrinkHotTierLocked()
 Status
 PartitionStore::promotePartition(uint64_t partition_id)
 {
-    std::scoped_lock lock(mu_);
-    if (retired_.count(partition_id) != 0) {
-        return Status::notFound("partition " +
-                                std::to_string(partition_id) +
-                                " is retired");
+    // Hot bytes are the very bytes a cold fetch would serve: the cached
+    // buffer, else (loaded with mu_ released) the committed segment's in
+    // persistent mode. The checks run again once the bytes are in hand,
+    // since a retire, promote or budget change may have landed meanwhile.
+    PartitionBuffer bytes;
+    for (;;) {
+        {
+            std::scoped_lock lock(mu_);
+            if (retired_.count(partition_id) != 0)
+                return retiredStatus(partition_id);
+            if (hot_budget_bytes_ == 0)
+                return Status::failedPrecondition("hot tier is disabled");
+            if (hot_.count(partition_id) != 0)
+                return Status::okStatus();
+            if (auto it = partitions_.find(partition_id);
+                bytes == nullptr && it != partitions_.end())
+                bytes = it->second;
+            if (bytes != nullptr) {
+                if (hot_bytes_ + bytes->size() > hot_budget_bytes_) {
+                    return Status::resourceExhausted(
+                        "hot tier budget exhausted (" +
+                        std::to_string(hot_bytes_) + " + " +
+                        std::to_string(bytes->size()) + " > " +
+                        std::to_string(hot_budget_bytes_) + " bytes)");
+                }
+                hot_bytes_ += bytes->size();
+                hot_.emplace(partition_id, std::move(bytes));
+                return Status::okStatus();
+            }
+        }
+        auto loaded = load(partition_id);
+        if (!loaded.ok())
+            return loaded.status();
+        bytes = *std::move(loaded);
     }
-    if (hot_budget_bytes_ == 0)
-        return Status::failedPrecondition("hot tier is disabled");
-    if (hot_.count(partition_id) != 0)
-        return Status::okStatus();
-    // Hot bytes are the very bytes a cold fetch would serve: the
-    // committed segment's in persistent mode.
-    auto loaded = loadLocked(partition_id);
-    if (!loaded.ok())
-        return loaded.status();
-    const PartitionBuffer& bytes = *loaded;
-    if (hot_bytes_ + bytes->size() > hot_budget_bytes_) {
-        return Status::resourceExhausted(
-            "hot tier budget exhausted (" +
-            std::to_string(hot_bytes_) + " + " +
-            std::to_string(bytes->size()) + " > " +
-            std::to_string(hot_budget_bytes_) + " bytes)");
-    }
-    hot_bytes_ += bytes->size();
-    hot_.emplace(partition_id, bytes);
-    return Status::okStatus();
 }
 
 void
@@ -327,24 +362,54 @@ PartitionStore::segmentStore() const
 StatusOr<uint64_t>
 PartitionStore::persistPartition(uint64_t partition_id)
 {
-    SegmentStore* segments = segmentStore();
-    if (segments == nullptr)
+    if (segmentStore() == nullptr)
         return Status::failedPrecondition("persistence is not enabled");
-    auto existing = segments->segmentForPartition(partition_id);
-    if (existing.ok())
-        return existing->meta.segment_id;
-    if (existing.status().code() != StatusCode::kNotFound)
-        return existing.status();
-    // First touch: encode (or reuse the cached encoding) and commit.
-    const PartitionBuffer encoded = partition(partition_id);
-    return segments->appendEncoded(*encoded, partition_id);
+    return commitPartition(partition_id, stagePartition(partition_id));
+}
+
+PartitionBuffer
+PartitionStore::stagePartition(uint64_t partition_id)
+{
+    if (SegmentStore* segments = segmentStore();
+        segments != nullptr &&
+        segments->segmentForPartition(partition_id).ok())
+        return nullptr;  // committed already (e.g. before a crash)
+    if (PartitionBuffer hit = cached(partition_id))
+        return hit;
+    return materialize(partition_id);
+}
+
+StatusOr<uint64_t>
+PartitionStore::commitPartition(uint64_t partition_id,
+                                PartitionBuffer staged)
+{
+    SegmentStore* segments = segmentStore();
+    // One re-check + append at a time per store, so racing commits of
+    // one id leave one live segment; the encode stays outside.
+    std::scoped_lock commit(commit_mu_);
+    if (segments != nullptr) {
+        auto existing = segments->segmentForPartition(partition_id);
+        if (existing.ok())
+            return existing->meta.segment_id;
+        if (existing.status().code() != StatusCode::kNotFound)
+            return existing.status();
+    }
+    PartitionBuffer bytes;
+    if (staged == nullptr) {
+        bytes = partition(partition_id);
+    } else {
+        std::scoped_lock lock(mu_);
+        bytes = insertCacheLocked(partition_id, std::move(staged));
+    }
+    if (segments == nullptr)
+        return uint64_t{0};
+    return segments->appendEncoded(*bytes, partition_id);
 }
 
 uint64_t
 PartitionStore::partitionBytes(uint64_t partition_id)
 {
-    std::scoped_lock lock(mu_);
-    return partitionLocked(partition_id)->size();
+    return partition(partition_id)->size();
 }
 
 size_t

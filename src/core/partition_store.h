@@ -8,6 +8,17 @@
  * Tectonic layout) that lets a SmartSSD preprocess a partition entirely
  * locally. Partitions are materialized lazily and deterministically from
  * the synthetic generator.
+ *
+ * Locking: mu_ guards only the maps and counters below: cache and hot
+ * tier lookups, inserts, evictions, retirement marks. Nothing slow runs
+ * under it. Generating and encoding a partition, and reading a segment
+ * back, happen with mu_ released; the result is then inserted under mu_
+ * with a double check: a buffer another thread cached first wins (the
+ * bytes are identical), and a partition retired meanwhile is not
+ * re-cached. So a fetch of a cached partition never waits behind
+ * another partition's encode. commit_mu_ serializes the re-check and
+ * durable append of a commit (not its encode); it is taken before mu_,
+ * never under it.
  */
 #ifndef PRESTO_CORE_PARTITION_STORE_H_
 #define PRESTO_CORE_PARTITION_STORE_H_
@@ -205,17 +216,52 @@ class PartitionStore
      */
     StatusOr<uint64_t> persistPartition(uint64_t partition_id);
 
+    // --- Staged commit ---------------------------------------------------
+    //
+    // persistPartition() (and, memory-only, partition()) split in two, so
+    // a publisher can encode many partitions on many threads and still
+    // commit them one at a time in its own order.
+
+    /**
+     * Encoded bytes to commit for @p partition_id: nullptr when a live
+     * segment already holds it (persistent mode), else the cached
+     * buffer, else generated and encoded without caching. Thread-safe;
+     * the encode runs with no store lock held.
+     */
+    PartitionBuffer stagePartition(uint64_t partition_id);
+
+    /**
+     * Commit @p staged (from stagePartition; nullptr re-stages): cache
+     * it (a buffer already cached wins), then in persistent mode
+     * durably append it unless a live segment already holds the
+     * partition. The re-check and append are serialized per store, so
+     * racing commits of one id leave one segment.
+     * @return the live segment id (0 in memory-only mode).
+     */
+    StatusOr<uint64_t> commitPartition(uint64_t partition_id,
+                                       PartitionBuffer staged);
+
   private:
-    /** Materialize (if needed) and return @p partition_id; mu_ held. */
-    const PartitionBuffer& partitionLocked(uint64_t partition_id);
-    /** Encoded bytes of @p partition_id off the device path: the cached
-        buffer, else the live segment (counted in diskReads()), else
-        the generator when no segment holds it; mu_ held. */
-    StatusOr<PartitionBuffer> loadLocked(uint64_t partition_id);
-    /** Insert freshly obtained encoded bytes into the cache and evict
-        past the budget; mu_ held. Returns the cached entry. */
-    const PartitionBuffer& insertCacheLocked(uint64_t partition_id,
-                                             std::vector<uint8_t> bytes);
+    /** Generate and encode @p partition_id, the one materialize step
+        of every path. No lock taken or needed: the bytes are a pure
+        function of (generator seed, id). */
+    PartitionBuffer materialize(uint64_t partition_id) const;
+    /** The cached buffer of @p partition_id, or nullptr. */
+    PartitionBuffer cached(uint64_t partition_id) const;
+    /**
+     * Encoded bytes of @p partition_id after a cache miss, off the
+     * device path: the live segment read back (counted in diskReads()),
+     * else the generator when no segment holds it. Called without mu_;
+     * the read or encode runs unlocked, then the result is cached.
+     * kNotFound when the partition was retired meanwhile: it is then
+     * neither cached nor returned.
+     */
+    StatusOr<PartitionBuffer> load(uint64_t partition_id);
+    /** Cache @p bytes as @p partition_id's encoding and evict past the
+        budget; mu_ held. When the partition is already cached that
+        buffer is kept and returned instead (the bytes are identical). */
+    PartitionBuffer insertCacheLocked(uint64_t partition_id,
+                                      PartitionBuffer bytes);
     /** Demote hot entries (largest id first) until the tier fits its
         budget; mu_ held. */
     void shrinkHotTierLocked();
@@ -226,6 +272,7 @@ class PartitionStore
     ColumnarFileWriter writer_;
     const FaultInjector* faults_ = nullptr;
     SegmentStore* segments_ = nullptr;
+    std::mutex commit_mu_;  ///< serializes commit re-check + append
     mutable std::mutex mu_;
     std::map<uint64_t, PartitionBuffer> partitions_;
     std::deque<uint64_t> cache_order_;  ///< insertion order for eviction

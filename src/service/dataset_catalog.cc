@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/partition_producer.h"
 
 namespace presto {
@@ -370,22 +372,46 @@ DatasetCatalog::publishEpoch(const std::string& dataset)
 
     std::scoped_lock publish_lock(ds.publish_mu);
     const uint64_t epoch = ds.head.load(std::memory_order_acquire) + 1;
-    for (uint64_t i = 0; i < ds.spec.partitions_per_epoch; ++i) {
-        const uint64_t pid = epochPartitionId(epoch, i);
-        PartitionStore& shard = *ds.shards[i % ds.numShards()];
-        if (ds.persistent()) {
-            // Crash-atomic durable commit; idempotent across a
-            // crash-and-republish (recovered segments are reused). The
-            // final partition's seal record completes the epoch.
-            if (auto seg = shard.persistPartition(pid); !seg.ok()) {
+    const size_t n = ds.spec.partitions_per_epoch;
+    // A partition is a pure function of (seed, id), so generation and
+    // encoding run on every core; only the commit is ordered. Each wave
+    // stages one partition per encoder, which bounds the encoded bytes
+    // in flight. The calling thread is one of the encoders, so the pool
+    // scoped to this call is one thread smaller (every thread that
+    // allocates leaves a malloc arena behind it).
+    const size_t width =
+        std::clamp<size_t>(std::thread::hardware_concurrency(), 1, n);
+    std::unique_ptr<ThreadPool> helpers;
+    if (width > 1)
+        helpers = std::make_unique<ThreadPool>(width - 1);
+    std::vector<PartitionBuffer> staged(width);
+    for (size_t first = 0; first < n; first += width) {
+        const size_t wave = std::min(width, n - first);
+        auto stage = [&](size_t k) {
+            const uint64_t i = first + k;
+            staged[k] = ds.shards[i % ds.numShards()]->stagePartition(
+                epochPartitionId(epoch, i));
+        };
+        for (size_t k = 1; k < wave; ++k)
+            helpers->submit([&stage, k] { stage(k); });
+        stage(0);
+        if (helpers != nullptr)
+            helpers->wait();
+        // In partition order, exactly as a serial publish: cache insert,
+        // then (persistent) the crash-atomic intent->publish->seal
+        // commit; partitions recovered from before a crash are reused.
+        // The final partition's seal record completes the epoch.
+        for (size_t k = 0; k < wave; ++k) {
+            const uint64_t i = first + k;
+            auto seg = ds.shards[i % ds.numShards()]->commitPartition(
+                epochPartitionId(epoch, i), std::move(staged[k]));
+            if (!seg.ok()) {
                 return Status(
                     seg.status().code(),
                     "publish of epoch " + std::to_string(epoch) +
                         " aborted at partition " + std::to_string(i) +
                         ": " + seg.status().message());
             }
-        } else {
-            shard.partition(pid);  // materialize
         }
     }
     // Atomic publish: the head moves only once every partition of the

@@ -211,10 +211,18 @@ class DatasetCatalog
     /**
      * Publish the next epoch of @p dataset: materialize (and durably
      * commit, when persistent) all of its partitions, then atomically
-     * advance the head. On any error (including an injected crash) the
-     * head is untouched and no reader can observe the partial epoch.
-     * Publishes of one dataset are serialized; concurrent pins and
-     * reads proceed untouched.
+     * advance the head. Partitions are generated and encoded in
+     * parallel by one encoder per core (at most one per partition):
+     * the calling thread plus a pool scoped to the call. They work in
+     * waves of one partition per encoder, so memory stays bounded;
+     * partitions already committed before a crash are skipped. Each
+     * wave then commits serially in
+     * partition order (cache insert, then intent->publish->seal), so
+     * journal bytes, segment ids, cache contents and crash semantics
+     * equal a serial publish. On any error (including an injected
+     * crash) the head is untouched and no reader can observe the
+     * partial epoch. Publishes of one dataset are serialized;
+     * concurrent pins and reads proceed untouched.
      * @return the new epoch number.
      */
     StatusOr<uint64_t> publishEpoch(const std::string& dataset);

@@ -5,8 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "core/data_loader.h"
 #include "core/fleet.h"
@@ -112,6 +115,85 @@ TEST(PartitionStoreTest, PartitionsAreValidPsfFiles)
     ASSERT_TRUE(reader.open(*store.partition(2)).ok());
     EXPECT_EQ(reader.footer().partition_id, 2u);
     EXPECT_EQ(reader.footer().num_rows, cfg.batch_size);
+}
+
+// --- PartitionStore concurrency ---------------------------------------------------
+
+/** RM5 at the benchmark's 1024 rows: ~400 ms to generate and encode
+    under the full codec menu. */
+RmConfig
+slowConfig()
+{
+    RmConfig cfg = rmConfig(5);
+    cfg.batch_size = 1024;
+    return cfg;
+}
+
+/** Spin until @p flag is set, then give its thread time to get past
+    the store's lock lookups and into a long generate + encode. */
+void
+waitUntilBusy(const std::atomic<bool>& flag)
+{
+    while (!flag.load())
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(PartitionStoreConcurrencyTest, FetchDoesNotWaitBehindAnotherEncode)
+{
+    // An uncached slowConfig() partition takes hundreds of milliseconds
+    // to generate and encode. Fetches of a partition that is already
+    // cached must all finish while that encode is still running: the
+    // store lock is never held across an encode.
+    RawDataGenerator gen(slowConfig());
+    PartitionStore store(gen);
+    const PartitionBuffer cached = store.partition(0);
+
+    std::atomic<bool> encoding{false};
+    std::atomic<bool> encoded{false};
+    std::thread slow([&] {
+        encoding = true;
+        (void)store.partition(1);
+        encoded = true;
+    });
+    waitUntilBusy(encoding);
+    bool served = true;
+    for (int i = 0; i < 200; ++i) {
+        auto bytes = store.fetchShared(0);
+        served = served && bytes.ok() && *bytes == cached;
+    }
+    EXPECT_FALSE(encoded.load())
+        << "cached fetches waited for another partition's encode";
+    slow.join();
+    EXPECT_TRUE(served);
+    EXPECT_EQ(store.materializedCount(), 2u);
+}
+
+TEST(PartitionStoreConcurrencyTest, RetireDuringLoadLeavesItNeitherCachedNorHot)
+{
+    // A promotion loads (generates and encodes) the partition with the
+    // store lock released; a retire landing meanwhile must win. The
+    // finished load is refused, not cached and not promoted.
+    RawDataGenerator gen(slowConfig());
+    PartitionStore store(gen);
+    store.setHotTierBudget(uint64_t{1} << 30);
+
+    std::atomic<bool> loading{false};
+    Status promoted;
+    std::thread loader([&] {
+        loading = true;
+        promoted = store.promotePartition(3);
+    });
+    waitUntilBusy(loading);
+    EXPECT_TRUE(store.retirePartition(3).ok());
+    loader.join();
+
+    EXPECT_EQ(promoted.code(), StatusCode::kNotFound) << promoted.message();
+    EXPECT_EQ(store.materializedCount(), 0u);
+    EXPECT_EQ(store.cachedBytes(), 0u);
+    EXPECT_EQ(store.hotTierCount(), 0u);
+    EXPECT_EQ(store.hotTierBytes(), 0u);
+    EXPECT_EQ(store.fetchShared(3).status().code(), StatusCode::kNotFound);
 }
 
 // --- Managers (functional end-to-end) ----------------------------------------------

@@ -415,8 +415,8 @@ TEST(ManagerIoTest, EveryWorkerKeepsItsOwnReadWindowInFlight)
     const size_t batches = 6;
 
     // The blocking run also materializes every partition, so the ring
-    // workers below go straight to reading instead of taking turns
-    // generating partitions under the store's lock.
+    // workers below spend their time reading rather than generating
+    // and encoding partitions.
     PartitionStore store(gen);
     PreprocessManager blocking_mgr(cfg, store, PreprocessMode::kPreSto, 1);
     const uint64_t reference = drainChecksum(blocking_mgr, batches);

@@ -12,7 +12,11 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -255,6 +259,77 @@ TEST(DatasetCatalogTest, CrashMidPublishLeavesHeadAndRecovers)
         ASSERT_TRUE(epoch2.value().readPartition(1, rows).ok());
         EXPECT_EQ(rows.numRows(), smallConfig().batch_size);
         EXPECT_EQ(snapshotEpoch(reader.value()), baseline);
+    }
+}
+
+/** Every file of @p dir: name -> bytes. */
+std::map<std::string, std::vector<uint8_t>>
+dirContents(const std::string& dir)
+{
+    std::map<std::string, std::vector<uint8_t>> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        files[entry.path().filename().string()] = std::vector<uint8_t>(
+            std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+}
+
+TEST(DatasetCatalogTest, ParallelPublishIsByteIdenticalToSerialPersist)
+{
+    // publishEpoch encodes partitions on many threads but commits them
+    // in partition order, so its journals and segment files equal those
+    // of persisting every partition serially in that same order.
+    constexpr size_t kShards = 2;
+    constexpr uint64_t kEpochs = 2;
+    // More partitions than a 4-core host's first wave.
+    const DatasetSpec spec = smallSpec("clicks", 6, kShards);
+    std::vector<std::string> parallel_dirs;
+    std::vector<std::string> serial_dirs;
+    std::vector<std::unique_ptr<SegmentStore>> parallel;
+    std::vector<std::unique_ptr<SegmentStore>> serial;
+    for (size_t s = 0; s < kShards; ++s) {
+        const std::string shard = std::to_string(s);
+        parallel_dirs.push_back(freshDir("svc_publish_parallel_" + shard));
+        serial_dirs.push_back(freshDir("svc_publish_serial_" + shard));
+        parallel.push_back(openStore(parallel_dirs[s], nullptr));
+        serial.push_back(openStore(serial_dirs[s], nullptr));
+    }
+
+    DatasetCatalog catalog;
+    ASSERT_TRUE(catalog
+                    .registerDataset(spec,
+                                     {parallel[0].get(), parallel[1].get()})
+                    .ok());
+    for (uint64_t epoch = 1; epoch <= kEpochs; ++epoch)
+        ASSERT_EQ(catalog.publishEpoch("clicks").value(), epoch);
+
+    RawDataGenerator generator(spec.config, spec.generator);
+    std::vector<std::unique_ptr<PartitionStore>> stores;
+    for (size_t s = 0; s < kShards; ++s) {
+        stores.push_back(std::make_unique<PartitionStore>(generator));
+        stores.back()->enablePersistence(serial[s].get());
+    }
+    for (uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+        for (uint64_t i = 0; i < spec.partitions_per_epoch; ++i) {
+            ASSERT_TRUE(stores[i % kShards]
+                            ->persistPartition(epochPartitionId(epoch, i))
+                            .ok());
+        }
+    }
+
+    for (size_t s = 0; s < kShards; ++s) {
+        const auto got = dirContents(parallel_dirs[s]);
+        const auto want = dirContents(serial_dirs[s]);
+        // The journal plus one segment per partition of the shard.
+        EXPECT_EQ(got.size(),
+                  1 + kEpochs * spec.partitions_per_epoch / kShards);
+        ASSERT_EQ(got.size(), want.size()) << "shard " << s;
+        for (const auto& [name, bytes] : want) {
+            ASSERT_EQ(got.count(name), 1u) << name;
+            EXPECT_TRUE(got.at(name) == bytes) << "shard " << s << ": "
+                                               << name << " differs";
+        }
     }
 }
 

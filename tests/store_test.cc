@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.h"
@@ -380,6 +381,32 @@ TEST(PartitionStorePersistenceTest, PersistPartitionIsIdempotent)
         store->listSegments()[0].meta));
     ASSERT_TRUE(bytes.ok());
     EXPECT_TRUE(*bytes == *pstore.partition(5));
+}
+
+TEST(PartitionStorePersistenceTest, ConcurrentPersistCommitsOneSegment)
+{
+    // Racing persists of one id encode concurrently, but the re-check
+    // and the append are one step per store: one live segment results.
+    const std::string dir = freshDir("store_persist_race");
+    RawDataGenerator gen(smallConfig());
+    PartitionStore pstore(gen);
+    auto store = openStore(dir);
+    pstore.enablePersistence(store.get());
+
+    constexpr int kThreads = 8;
+    std::vector<StatusOr<uint64_t>> ids(kThreads, uint64_t{0});
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] { ids[t] = pstore.persistPartition(7); });
+    for (std::thread& thread : threads)
+        thread.join();
+
+    for (const auto& id : ids) {
+        ASSERT_TRUE(id.ok()) << id.status().message();
+        EXPECT_EQ(*id, *ids[0]);
+    }
+    ASSERT_EQ(store->listSegments().size(), 1u);
+    EXPECT_EQ(store->liveBytes(), pstore.partitionBytes(7));
 }
 
 /** Consume every batch and fold the TrainManager-style checksum. */
