@@ -47,7 +47,7 @@ getString(std::span<const uint8_t> in, size_t& pos, std::string& s)
 {
     uint64_t len = 0;
     PRESTO_RETURN_IF_ERROR(enc::getVarint(in, pos, len));
-    if (pos + len > in.size())
+    if (len > in.size() - pos)
         return Status::corruption("truncated string in footer");
     s.assign(reinterpret_cast<const char*>(in.data() + pos), len);
     pos += len;
@@ -333,7 +333,8 @@ ColumnarFileReader::parseFooterRegion(std::span<const uint8_t> region,
             if (heat > kMaxStreamHeat)
                 return Status::corruption("stream heat out of range");
             stream.heat = static_cast<uint32_t>(heat);
-            if (stream.offset + stream.byte_size > data_end)
+            if (stream.offset > data_end ||
+                stream.byte_size > data_end - stream.offset)
                 return Status::corruption("stream extends past data region");
             // Defensive: the writer caps pages at kMaxValuesPerPage, so
             // a larger claim can only come from footer damage and would
@@ -346,6 +347,13 @@ ColumnarFileReader::parseFooterRegion(std::span<const uint8_t> region,
     }
     if (pos != footer_bytes.size())
         return Status::corruption("trailing bytes in footer");
+    // Names key projection and the schema, which rejects repeats.
+    names_.clear();
+    for (const auto& col : footer_.columns)
+        names_.push_back(col.name);
+    std::sort(names_.begin(), names_.end());
+    if (std::adjacent_find(names_.begin(), names_.end()) != names_.end())
+        return Status::corruption("duplicate column name in footer");
 
     bytes_touched_ = footer_size + trailer + 4;
     open_ = true;
@@ -357,8 +365,6 @@ ColumnarFileReader::validatePlans(std::span<const PageReadPlan> plans) const
 {
     if (!open_)
         return Status::failedPrecondition("reader is not open");
-    const size_t trailer = 4 + 4 + 4;
-    const uint64_t body_end = file_size_ - trailer;
     // Per-(column, stream) coverage cursors. Plans must visit each
     // stream's pages in order and cover its value range exactly, the
     // same invariant planPageReads() establishes by scanning.
@@ -374,10 +380,11 @@ ColumnarFileReader::validatePlans(std::span<const PageReadPlan> plans) const
         const StreamMeta& stream = col.streams[plan.stream];
         if (plan.frame_bytes < kPageFrameBytes)
             return Status::corruption("plan frame impossibly small");
-        if (plan.offset < stream.offset ||
-            plan.offset + plan.frame_bytes >
-                stream.offset + stream.byte_size ||
-            plan.offset + plan.frame_bytes > body_end) {
+        // open() bounded every stream by the data region, so a frame
+        // inside its stream lies inside the file body.
+        const uint64_t stream_end = stream.offset + stream.byte_size;
+        if (plan.offset < stream.offset || plan.offset > stream_end ||
+            plan.frame_bytes > stream_end - plan.offset) {
             return Status::corruption("plan frame outside its stream");
         }
         uint64_t& cursor = covered[plan.column][plan.stream];
@@ -398,209 +405,16 @@ ColumnarFileReader::validatePlans(std::span<const PageReadPlan> plans) const
     return Status::okStatus();
 }
 
-Status
-ColumnarFileReader::decodeStream(const StreamMeta& stream, bool as_f32,
-                                 int64_t* i64_out, float* f32_out)
-{
-    if (pool_ != nullptr && stream.num_pages > 1)
-        return decodeStreamParallel(stream, as_f32, i64_out, f32_out);
-    return decodeStreamSerial(stream, as_f32, i64_out, f32_out);
-}
-
-Status
-ColumnarFileReader::decodeStreamSerial(const StreamMeta& stream, bool as_f32,
-                                       int64_t* i64_out, float* f32_out)
-{
-    size_t pos = stream.offset;
-    uint64_t off = 0;
-    for (uint32_t p = 0; p < stream.num_pages; ++p) {
-        PageView page;
-        PRESTO_RETURN_IF_ERROR(readPageFrame(data_, pos, page));
-        if (off + page.value_count > stream.value_count)
-            return Status::corruption("stream value count mismatch");
-        // CRC (verified above, over the stored bytes) precedes this
-        // decompression, so a damaged compressed page never reaches
-        // the codec.
-        std::span<const uint8_t> raw;
-        PRESTO_RETURN_IF_ERROR(pagePayload(page, decomp_, raw));
-        if (as_f32) {
-            PRESTO_RETURN_IF_ERROR(enc::decodeF32Into(
-                page.encoding, raw, page.value_count, f32_out + off));
-        } else if (enc::fastDecodeEnabled()) {
-            PRESTO_RETURN_IF_ERROR(enc::decodeI64Into(
-                page.encoding, raw, page.value_count, i64_out + off,
-                dict_));
-        } else {
-            PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
-                page.encoding, raw, page.value_count, page_i64_, dict_));
-            std::copy(page_i64_.begin(), page_i64_.end(), i64_out + off);
-        }
-        off += page.value_count;
-    }
-    if (pos != stream.offset + stream.byte_size)
-        return Status::corruption("stream page sizes disagree with footer");
-    if (off != stream.value_count)
-        return Status::corruption("stream value count mismatch");
-    bytes_touched_ += stream.byte_size;
-    return Status::okStatus();
-}
-
-Status
-ColumnarFileReader::decodeStreamParallel(const StreamMeta& stream,
-                                         bool as_f32, int64_t* i64_out,
-                                         float* f32_out)
-{
-    // Pass 1 (serial): frame-header scan to locate every page and its
-    // slice of the output. No CRC work here — each decode task verifies
-    // its own page, so corruption detection is unchanged.
-    tasks_.clear();
-    const size_t end = stream.offset + stream.byte_size;
-    size_t pos = stream.offset;
-    uint64_t off = 0;
-    for (uint32_t p = 0; p < stream.num_pages; ++p) {
-        PageTask task;
-        task.frame_pos = pos;
-        task.out_offset = off;
-        PageView page;
-        PRESTO_RETURN_IF_ERROR(scanPageFrame(data_, pos, page));
-        if (pos > end)
-            return Status::corruption(
-                "stream page sizes disagree with footer");
-        if (off + page.value_count > stream.value_count)
-            return Status::corruption("stream value count mismatch");
-        task.value_count = page.value_count;
-        tasks_.push_back(task);
-        off += page.value_count;
-    }
-    if (pos != end)
-        return Status::corruption("stream page sizes disagree with footer");
-    if (off != stream.value_count)
-        return Status::corruption("stream value count mismatch");
-
-    // Pass 2: decode pages concurrently, each into its disjoint output
-    // slice. Statuses land in per-task slots (no shared mutable state);
-    // parallelFor's completion is the synchronization point.
-    task_status_.clear();
-    task_status_.resize(tasks_.size());
-    par_f32_ = as_f32;
-    par_i64_out_ = i64_out;
-    par_f32_out_ = f32_out;
-    pool_->parallelFor(tasks_.size(),
-                       [this](size_t t) { decodePageTask(t); });
-    for (const Status& st : task_status_) {
-        if (!st.ok())
-            return st;
-    }
-    bytes_touched_ += stream.byte_size;
-    return Status::okStatus();
-}
-
 void
-ColumnarFileReader::decodePageTask(size_t t)
+ColumnarFileReader::selectAll()
 {
-    const PageTask& task = tasks_[t];
-    size_t pos = task.frame_pos;
-    PageView page;
-    Status st = readPageFrame(data_, pos, page);
-    if (st.ok()) {
-        // Worker-local scratch: pages of one stream decode
-        // concurrently, so the member buffers cannot be shared here.
-        static thread_local std::vector<uint8_t> tl_decomp;
-        std::span<const uint8_t> raw;
-        st = pagePayload(page, tl_decomp, raw);
-        if (!st.ok()) {
-            task_status_[t] = std::move(st);
-            return;
-        }
-        if (par_f32_) {
-            st = enc::decodeF32Into(page.encoding, raw, page.value_count,
-                                    par_f32_out_ + task.out_offset);
-        } else if (enc::fastDecodeEnabled()) {
-            static thread_local std::vector<int64_t> tl_dict;
-            st = enc::decodeI64Into(page.encoding, raw, page.value_count,
-                                    par_i64_out_ + task.out_offset,
-                                    tl_dict);
-        } else {
-            static thread_local std::vector<int64_t> tl_out;
-            static thread_local std::vector<int64_t> tl_dict;
-            st = enc::decodeI64Reference(page.encoding, raw,
-                                         page.value_count, tl_out, tl_dict);
-            if (st.ok()) {
-                std::copy(tl_out.begin(), tl_out.end(),
-                          par_i64_out_ + task.out_offset);
-            }
-        }
+    const size_t n = footer_.columns.size();
+    selected_.resize(n);
+    out_column_.resize(n);
+    for (size_t c = 0; c < n; ++c) {
+        selected_[c] = static_cast<uint32_t>(c);
+        out_column_[c] = static_cast<int32_t>(c);
     }
-    task_status_[t] = std::move(st);
-}
-
-Status
-ColumnarFileReader::decodeI64Stream(const StreamMeta& stream,
-                                    std::vector<int64_t>& out)
-{
-    out.resize(stream.value_count);
-    return decodeStream(stream, /*as_f32=*/false, out.data(), nullptr);
-}
-
-Status
-ColumnarFileReader::decodeDenseInto(const ColumnMeta& meta,
-                                    std::vector<float>& values)
-{
-    if (meta.streams.size() != 1)
-        return Status::corruption("dense column must have one stream");
-    const auto& stream = meta.streams[0];
-    if (stream.value_count != footer_.num_rows)
-        return Status::corruption("dense column row count mismatch");
-    values.resize(stream.value_count);
-    return decodeStream(stream, /*as_f32=*/true, nullptr, values.data());
-}
-
-Status
-ColumnarFileReader::decodeDense(const ColumnMeta& meta, DenseColumn& out)
-{
-    std::vector<float> values;
-    PRESTO_RETURN_IF_ERROR(decodeDenseInto(meta, values));
-    out = DenseColumn(std::move(values));
-    return Status::okStatus();
-}
-
-Status
-ColumnarFileReader::decodeSparseInto(const ColumnMeta& meta,
-                                     std::vector<int64_t>& values,
-                                     std::vector<uint32_t>& offsets)
-{
-    if (meta.streams.size() != 2)
-        return Status::corruption("sparse column must have two streams");
-    PRESTO_RETURN_IF_ERROR(decodeI64Stream(meta.streams[0], lengths_));
-    PRESTO_RETURN_IF_ERROR(decodeI64Stream(meta.streams[1], values));
-    if (lengths_.size() != footer_.num_rows)
-        return Status::corruption("sparse lengths row count mismatch");
-
-    offsets.clear();
-    offsets.reserve(lengths_.size() + 1);
-    offsets.push_back(0);
-    uint64_t running = 0;
-    for (int64_t len : lengths_) {
-        if (len < 0)
-            return Status::corruption("negative sparse row length");
-        running += static_cast<uint64_t>(len);
-        if (running > values.size())
-            return Status::corruption("sparse lengths exceed values");
-        offsets.push_back(static_cast<uint32_t>(running));
-    }
-    if (running != values.size())
-        return Status::corruption("sparse lengths do not cover values");
-    return Status::okStatus();
-}
-
-Status
-ColumnarFileReader::decodeSparse(const ColumnMeta& meta, SparseColumn& out)
-{
-    std::vector<int64_t> values;
-    std::vector<uint32_t> offsets;
-    PRESTO_RETURN_IF_ERROR(decodeSparseInto(meta, values, offsets));
-    out = SparseColumn(std::move(values), std::move(offsets));
-    return Status::okStatus();
 }
 
 StatusOr<RowBatch>
@@ -608,110 +422,111 @@ ColumnarFileReader::readColumns(const std::vector<std::string>& names)
 {
     if (!open_)
         return Status::failedPrecondition("reader is not open");
-    if (footer_only_)
-        return Status::failedPrecondition(
-            "reader is footer-only (whole-stream decode needs the body)");
-
-    Schema schema;
-    std::vector<const ColumnMeta*> selected;
+    selected_.clear();
+    out_column_.assign(footer_.columns.size(), -1);
     for (const auto& name : names) {
-        const ColumnMeta* found = nullptr;
-        for (const auto& col : footer_.columns) {
-            if (col.name == name) {
-                found = &col;
-                break;
-            }
-        }
-        if (found == nullptr)
+        size_t c = 0;
+        while (c < footer_.columns.size() && footer_.columns[c].name != name)
+            ++c;
+        if (c == footer_.columns.size())
             return Status::notFound("no column named " + name);
-        schema.add({found->name, found->kind});
-        selected.push_back(found);
+        if (out_column_[c] >= 0)
+            return Status::invalidArgument("column requested twice: " + name);
+        out_column_[c] = static_cast<int32_t>(selected_.size());
+        selected_.push_back(static_cast<uint32_t>(c));
     }
-
-    RowBatch batch(schema);
-    for (const ColumnMeta* meta : selected) {
-        if (meta->kind == FeatureKind::kSparse) {
-            SparseColumn col;
-            PRESTO_RETURN_IF_ERROR(decodeSparse(*meta, col));
-            batch.addColumn(std::move(col));
-        } else {
-            DenseColumn col;
-            PRESTO_RETURN_IF_ERROR(decodeDense(*meta, col));
-            batch.addColumn(std::move(col));
-        }
-    }
+    RowBatch batch;
+    PRESTO_RETURN_IF_ERROR(readSelected(batch));
     return batch;
 }
 
 StatusOr<RowBatch>
 ColumnarFileReader::readAll()
 {
-    if (!open_)
-        return Status::failedPrecondition("reader is not open");
-    std::vector<std::string> names;
-    names.reserve(footer_.columns.size());
-    for (const auto& col : footer_.columns)
-        names.push_back(col.name);
-    return readColumns(names);
-}
-
-bool
-ColumnarFileReader::schemaMatches(const RowBatch& batch) const
-{
-    if (!batch.complete() ||
-        batch.numColumns() != footer_.columns.size()) {
-        return false;
-    }
-    for (size_t c = 0; c < footer_.columns.size(); ++c) {
-        const auto& spec = batch.schema().feature(c);
-        if (spec.name != footer_.columns[c].name ||
-            spec.kind != footer_.columns[c].kind) {
-            return false;
-        }
-    }
-    return true;
+    RowBatch batch;
+    PRESTO_RETURN_IF_ERROR(readAllInto(batch));
+    return batch;
 }
 
 Status
 ColumnarFileReader::readAllInto(RowBatch& out)
 {
-    if (!open_)
-        return Status::failedPrecondition("reader is not open");
-    if (footer_only_)
-        return Status::failedPrecondition(
-            "reader is footer-only (whole-stream decode needs the body)");
-    if (!schemaMatches(out)) {
-        auto fresh = readAll();
-        PRESTO_RETURN_IF_ERROR(fresh.status());
-        out = std::move(fresh).value();
-        return Status::okStatus();
-    }
-    for (size_t c = 0; c < footer_.columns.size(); ++c) {
-        const ColumnMeta& meta = footer_.columns[c];
-        if (meta.kind == FeatureKind::kSparse) {
-            SparseColumn& col = out.mutableSparse(c);
-            PRESTO_RETURN_IF_ERROR(decodeSparseInto(
-                meta, col.mutableValues(), col.mutableOffsets()));
-        } else {
-            DenseColumn& col = out.mutableDense(c);
-            PRESTO_RETURN_IF_ERROR(
-                decodeDenseInto(meta, col.mutableValues()));
+    selectAll();
+    return readSelected(out);
+}
+
+Status
+ColumnarFileReader::readSelected(RowBatch& out)
+{
+    // Plan before sizing: a footer's row or value-count claim sizes no
+    // buffer until the frame scan has shown the pages that back it.
+    PRESTO_RETURN_IF_ERROR(planSelected(plans_));
+    PRESTO_RETURN_IF_ERROR(beginSelected(out));
+    const auto frame = [this](const PageReadPlan& plan) {
+        return data_.subspan(plan.offset, plan.frame_bytes);
+    };
+    Status st;
+    if (pool_ == nullptr || plans_.size() < 2) {
+        for (const PageReadPlan& plan : plans_) {
+            st = completePage(plan, frame(plan), out);
+            if (!st.ok())
+                break;
+        }
+    } else {
+        // One task per page of the file, each decoding onto its own
+        // output slice. Every slot is written, so the first failure in
+        // file order is reported, as the serial loop does.
+        plan_status_.resize(plans_.size());
+        pool_->parallelFor(plans_.size(), [&](size_t i) {
+            plan_status_[i] = completePage(plans_[i], frame(plans_[i]), out);
+        });
+        for (const Status& slot : plan_status_) {
+            if (!slot.ok()) {
+                st = slot;
+                break;
+            }
         }
     }
-    out.resetRowCountFromColumns();
-    return Status::okStatus();
+    if (!st.ok()) {
+        async_active_ = false;
+        return st;
+    }
+    return finishReadInto(out);
+}
+
+bool
+ColumnarFileReader::schemaMatches(const RowBatch& batch) const
+{
+    if (!batch.complete() || batch.numColumns() != selected_.size())
+        return false;
+    for (size_t o = 0; o < selected_.size(); ++o) {
+        const auto& spec = batch.schema().feature(o);
+        const ColumnMeta& col = footer_.columns[selected_[o]];
+        if (spec.name != col.name || spec.kind != col.kind)
+            return false;
+    }
+    return true;
 }
 
 Status
 ColumnarFileReader::planPageReads(std::vector<PageReadPlan>& plans)
 {
+    selectAll();
+    return planSelected(plans);
+}
+
+Status
+ColumnarFileReader::planSelected(std::vector<PageReadPlan>& plans)
+{
     if (!open_)
         return Status::failedPrecondition("reader is not open");
     if (footer_only_)
         return Status::failedPrecondition(
-            "reader is footer-only (planning scans the page frames)");
+            "reader is footer-only (page reads need the body)");
     plans.clear();
     for (size_t c = 0; c < footer_.columns.size(); ++c) {
+        if (out_column_[c] < 0)
+            continue;
         const ColumnMeta& meta = footer_.columns[c];
         for (size_t s = 0; s < meta.streams.size(); ++s) {
             const StreamMeta& stream = meta.streams[s];
@@ -843,41 +658,47 @@ ColumnarFileReader::beginReadInto(RowBatch& out)
 {
     if (!open_)
         return Status::failedPrecondition("reader is not open");
+    selectAll();
+    return beginSelected(out);
+}
+
+Status
+ColumnarFileReader::beginSelected(RowBatch& out)
+{
     if (!schemaMatches(out)) {
-        // Fresh batch with this file's schema; columns start empty (all
+        // Fresh batch with the selected schema; columns start empty (all
         // zero rows) and are sized below like the reused-buffer path.
-        RowBatch fresh(footer_.schema());
-        for (const auto& col : footer_.columns) {
-            if (col.kind == FeatureKind::kSparse)
+        Schema schema;
+        for (uint32_t c : selected_)
+            schema.add({footer_.columns[c].name, footer_.columns[c].kind});
+        RowBatch fresh(std::move(schema));
+        for (uint32_t c : selected_) {
+            if (footer_.columns[c].kind == FeatureKind::kSparse)
                 fresh.addColumn(SparseColumn{});
             else
                 fresh.addColumn(DenseColumn{});
         }
         out = std::move(fresh);
     }
-    async_lengths_.resize(footer_.columns.size());
-    for (size_t c = 0; c < footer_.columns.size(); ++c) {
-        const ColumnMeta& meta = footer_.columns[c];
-        if (meta.kind == FeatureKind::kSparse) {
-            if (meta.streams.size() != 2)
-                return Status::corruption(
-                    "sparse column must have two streams");
-            if (meta.streams[0].value_count != footer_.num_rows)
-                return Status::corruption(
-                    "sparse lengths row count mismatch");
-            async_lengths_[c].resize(meta.streams[0].value_count);
-            out.mutableSparse(c).mutableValues().resize(
-                meta.streams[1].value_count);
+    for (size_t o = 0; o < selected_.size(); ++o) {
+        const ColumnMeta& meta = footer_.columns[selected_[o]];
+        const bool sparse = meta.kind == FeatureKind::kSparse;
+        if (meta.streams.size() != (sparse ? 2u : 1u))
+            return Status::corruption(
+                sparse ? "sparse column must have two streams"
+                       : "dense column must have one stream");
+        if (meta.streams[0].value_count != footer_.num_rows)
+            return Status::corruption(
+                sparse ? "sparse lengths row count mismatch"
+                       : "dense column row count mismatch");
+        if (sparse) {
+            // Row lengths decode into offsets[1..]; finishReadInto()
+            // turns them into CSR offsets in place.
+            SparseColumn& col = out.mutableSparse(o);
+            col.mutableOffsets().resize(footer_.num_rows + 1);
+            col.mutableValues().resize(meta.streams[1].value_count);
         } else {
-            if (meta.streams.size() != 1)
-                return Status::corruption(
-                    "dense column must have one stream");
-            if (meta.streams[0].value_count != footer_.num_rows)
-                return Status::corruption(
-                    "dense column row count mismatch");
-            async_lengths_[c].clear();
-            out.mutableDense(c).mutableValues().resize(
-                meta.streams[0].value_count);
+            out.mutableDense(o).mutableValues().resize(footer_.num_rows);
         }
     }
     async_active_ = true;
@@ -902,31 +723,49 @@ ColumnarFileReader::completePage(const PageReadPlan& plan,
         return Status::corruption("page frame disagrees with read plan");
 
     // Worker-local scratch: pages may decode on a shared pool
-    // concurrently, so the member buffers cannot be used here.
+    // concurrently, so the reader cannot own it.
     static thread_local std::vector<uint8_t> tl_decomp;
+    static thread_local std::vector<int64_t> tl_dict;
+    static thread_local std::vector<int64_t> tl_page;
     std::span<const uint8_t> raw;
     PRESTO_RETURN_IF_ERROR(pagePayload(page, tl_decomp, raw));
 
-    const ColumnMeta& meta = footer_.columns[plan.column];
-    if (meta.kind != FeatureKind::kSparse) {
-        float* dst = out.mutableDense(plan.column).mutableValues().data();
+    const auto col = static_cast<size_t>(out_column_[plan.column]);
+    if (footer_.columns[plan.column].kind != FeatureKind::kSparse) {
+        float* dst = out.mutableDense(col).mutableValues().data();
         return enc::decodeF32Into(page.encoding, raw, page.value_count,
                                   dst + plan.out_offset);
     }
-    int64_t* dst =
-        plan.stream == 0
-            ? async_lengths_[plan.column].data()
-            : out.mutableSparse(plan.column).mutableValues().data();
-    if (enc::fastDecodeEnabled()) {
-        static thread_local std::vector<int64_t> tl_dict;
-        return enc::decodeI64Into(page.encoding, raw, page.value_count,
-                                  dst + plan.out_offset, tl_dict);
+    SparseColumn& sparse = out.mutableSparse(col);
+    const bool fast = enc::fastDecodeEnabled();
+    if (plan.stream == 1 && fast) {
+        return enc::decodeI64Into(
+            page.encoding, raw, page.value_count,
+            sparse.mutableValues().data() + plan.out_offset, tl_dict);
     }
-    static thread_local std::vector<int64_t> tl_out;
-    static thread_local std::vector<int64_t> tl_dict;
-    PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
-        page.encoding, raw, page.value_count, tl_out, tl_dict));
-    std::copy(tl_out.begin(), tl_out.end(), dst + plan.out_offset);
+    // Row lengths, and values under the reference decoder, go through
+    // page-sized scratch.
+    if (fast) {
+        tl_page.resize(page.value_count);
+        PRESTO_RETURN_IF_ERROR(enc::decodeI64Into(
+            page.encoding, raw, page.value_count, tl_page.data(), tl_dict));
+    } else {
+        PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
+            page.encoding, raw, page.value_count, tl_page, tl_dict));
+    }
+    if (plan.stream == 1) {
+        std::copy(tl_page.begin(), tl_page.end(),
+                  sparse.mutableValues().data() + plan.out_offset);
+        return Status::okStatus();
+    }
+    uint32_t* lengths = sparse.mutableOffsets().data() + 1 + plan.out_offset;
+    for (size_t i = 0; i < tl_page.size(); ++i) {
+        if (tl_page[i] < 0)
+            return Status::corruption("negative sparse row length");
+        if (tl_page[i] > int64_t{UINT32_MAX})
+            return Status::corruption("sparse row length exceeds uint32");
+        lengths[i] = static_cast<uint32_t>(tl_page[i]);
+    }
     return Status::okStatus();
 }
 
@@ -936,32 +775,26 @@ ColumnarFileReader::finishReadInto(RowBatch& out)
     if (!async_active_)
         return Status::failedPrecondition("no async read in progress");
     async_active_ = false;
-    for (size_t c = 0; c < footer_.columns.size(); ++c) {
-        const ColumnMeta& meta = footer_.columns[c];
-        if (meta.kind == FeatureKind::kSparse) {
-            SparseColumn& col = out.mutableSparse(c);
-            const std::vector<int64_t>& lengths = async_lengths_[c];
-            std::vector<uint32_t>& offsets = col.mutableOffsets();
-            offsets.clear();
-            offsets.reserve(lengths.size() + 1);
-            offsets.push_back(0);
-            uint64_t running = 0;
-            for (int64_t len : lengths) {
-                if (len < 0)
-                    return Status::corruption(
-                        "negative sparse row length");
-                running += static_cast<uint64_t>(len);
-                if (running > col.mutableValues().size())
-                    return Status::corruption(
-                        "sparse lengths exceed values");
-                offsets.push_back(static_cast<uint32_t>(running));
-            }
-            if (running != col.mutableValues().size())
-                return Status::corruption(
-                    "sparse lengths do not cover values");
-        }
+    for (size_t o = 0; o < selected_.size(); ++o) {
+        const ColumnMeta& meta = footer_.columns[selected_[o]];
         for (const StreamMeta& stream : meta.streams)
             bytes_touched_ += stream.byte_size;
+        if (meta.kind != FeatureKind::kSparse)
+            continue;
+        // Prefix-sum the decoded row lengths into CSR offsets in place.
+        SparseColumn& col = out.mutableSparse(o);
+        std::vector<uint32_t>& offsets = col.mutableOffsets();
+        const uint64_t num_values = col.mutableValues().size();
+        uint64_t running = 0;
+        offsets[0] = 0;
+        for (size_t r = 1; r < offsets.size(); ++r) {
+            running += offsets[r];
+            if (running > num_values)
+                return Status::corruption("sparse lengths exceed values");
+            offsets[r] = static_cast<uint32_t>(running);
+        }
+        if (running != num_values)
+            return Status::corruption("sparse lengths do not cover values");
     }
     out.resetRowCountFromColumns();
     return Status::okStatus();

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "columnar/page.h"
@@ -146,6 +147,11 @@ class ColumnarFileWriter
 /**
  * Reads PSF bytes with column projection and byte-touch accounting.
  *
+ * There is one page-decode engine: the plan/complete split below. The
+ * blocking reads (readAllInto(), readColumns(), readAll()) run that
+ * same split over the in-memory body, with the page frames taken from
+ * the open()ed bytes instead of fetched by the caller.
+ *
  * The reader counts the bytes it actually inspects (pages of selected
  * columns + footer), which the storage model uses to credit columnar
  * layouts for avoiding overfetch.
@@ -160,7 +166,7 @@ class ColumnarFileReader
      * Footer-only open from the file's tail bytes, for file-backed
      * reads where the body stays on storage: @p tail is the last
      * tail.size() bytes of a @p file_size-byte PSF file and must cover
-     * the footer and trailer. Whole-stream decode and planPageReads()
+     * the footer and trailer. The blocking reads and planPageReads()
      * need the body and fail with kFailedPrecondition on a footer-only
      * reader; the async split (beginReadInto / completePage /
      * finishReadInto) works unchanged because page frames arrive from
@@ -182,9 +188,11 @@ class ColumnarFileReader
     bool isOpen() const { return open_; }
 
     /**
-     * Decode the named columns (schema order preserved) into a RowBatch
-     * whose schema contains exactly those features.
-     * @return kNotFound for unknown names, kCorruption for damaged pages.
+     * Decode the named columns into a RowBatch whose schema holds
+     * exactly those features, in request order. Only their pages are
+     * read, so bytesTouched() grows by the selected streams alone.
+     * @return kNotFound for unknown names, kInvalidArgument for a name
+     * requested twice, kCorruption for damaged pages.
      */
     StatusOr<RowBatch> readColumns(const std::vector<std::string>& names);
 
@@ -202,34 +210,37 @@ class ColumnarFileReader
     Status readAllInto(RowBatch& out);
 
     /**
-     * Decode multi-page streams page-parallel over @p pool (nullptr
-     * restores serial decode). Models the paper's FPGA Decoder unit,
-     * which works on independent pages concurrently. Results, error
-     * semantics (first page failure -> kCorruption), and byte-touch
-     * accounting are identical to serial decode; only the wall clock
-     * changes. The pool may be shared across readers, but one reader
-     * must not be used from two threads at once (as before).
+     * Decode the blocking reads' pages in parallel over @p pool
+     * (nullptr restores serial decode): one task per page of every
+     * selected stream of the file. Models the paper's FPGA Decoder
+     * unit, which works on independent pages concurrently. Results,
+     * error semantics (the first failing page in file order is
+     * returned), and byte-touch accounting are identical to serial
+     * decode; only the wall clock changes. The pool may be shared
+     * across readers, but one reader must not be used from two threads
+     * at once.
      */
     void setThreadPool(ThreadPool* pool) { pool_ = pool; }
 
-    // --- plan/submit/complete split (async page-granular reads) ---------
+    // --- plan/submit/complete split (page-granular reads) ---------------
     //
-    // The blocking readAllInto() fetches and decodes whole streams in
-    // one call. The async path splits that into:
+    // Every read of the reader runs these steps:
     //   1. planPageReads()  - enumerate every page frame of the file
     //   2. (caller)         - fetch each frame, e.g. through an IoRing
     //   3. beginReadInto()  - size the output batch's buffers
     //   4. completePage()   - CRC-check + decode one arrived frame
-    //   5. finishReadInto() - rebuild CSR offsets, finalize accounting
-    // so decode of page k can proceed while pages k+1..k+d are still in
-    // flight. Results, error semantics, and byte-touch accounting are
-    // identical to readAllInto() (the differential tests assert this).
+    //   5. finishReadInto() - build CSR offsets, finalize accounting
+    // An async caller decodes page k while pages k+1..k+d are still in
+    // flight. readAllInto() is this split run over memory (step 2 is a
+    // subspan of the open()ed bytes), so results, error semantics, and
+    // byte-touch accounting are identical by construction. These public
+    // steps always cover every column, output column = footer column.
 
     /**
-     * Enumerate every page frame of every column (file order), with the
-     * same structural validation as whole-stream decode: a plan set is
-     * produced only for files whose page framing is consistent with the
-     * footer. @p plans is clear()ed first and reuses its capacity.
+     * Enumerate every page frame of every column (file order). This is
+     * the reader's only frame scan: a plan set is produced only for
+     * files whose page framing is consistent with the footer. @p plans
+     * is clear()ed first and reuses its capacity.
      */
     Status planPageReads(std::vector<PageReadPlan>& plans);
 
@@ -246,7 +257,8 @@ class ColumnarFileReader
      * @p out. @p frame holds exactly plan.frame_bytes bytes read from
      * plan.offset; the per-page CRC is checked before any decode, so a
      * bit-flipped in-flight read surfaces here as kCorruption and the
-     * caller can re-submit just that page. Thread-safe for concurrent
+     * caller can re-submit just that page. A sparse row length below 0
+     * or above UINT32_MAX is kCorruption too. Thread-safe for concurrent
      * calls on *distinct* plans of one begun read (pages decode onto
      * disjoint output slices), which is what lets completed pages of
      * different partitions share one decode ThreadPool.
@@ -255,9 +267,10 @@ class ColumnarFileReader
                         std::span<const uint8_t> frame, RowBatch& out);
 
     /**
-     * Finalize after every planned page completed: rebuilds sparse CSR
-     * offsets from the decoded lengths, validates row counts, and adds
-     * the streams' bytes to bytesTouched(). @p out must be the batch
+     * Finalize after every planned page completed: prefix-sums the
+     * sparse row lengths (decoded into the CSR offsets slots) into
+     * offsets, checks that they cover the values exactly, and adds the
+     * streams' bytes to bytesTouched(). @p out must be the batch
      * passed to beginReadInto().
      */
     Status finishReadInto(RowBatch& out);
@@ -273,37 +286,20 @@ class ColumnarFileReader
     }
 
   private:
-    /** One page of a stream being decoded in parallel. */
-    struct PageTask {
-        size_t frame_pos = 0;      ///< absolute offset of the page frame
-        uint64_t out_offset = 0;   ///< first decoded value's index
-        uint32_t value_count = 0;
-    };
-
     /** Shared footer parse of open()/openTail(). @p region ends at the
         file's last byte; @p region_base is its absolute offset. */
     Status parseFooterRegion(std::span<const uint8_t> region,
                              uint64_t region_base, uint64_t file_size);
-    Status decodeDense(const ColumnMeta& meta, DenseColumn& out);
-    Status decodeSparse(const ColumnMeta& meta, SparseColumn& out);
-    Status decodeDenseInto(const ColumnMeta& meta,
-                           std::vector<float>& values);
-    Status decodeSparseInto(const ColumnMeta& meta,
-                            std::vector<int64_t>& values,
-                            std::vector<uint32_t>& offsets);
-    Status decodeI64Stream(const StreamMeta& stream,
-                           std::vector<int64_t>& out);
-    /** Decode a whole stream into the buffer selected by @p as_f32
-        (the other pointer is ignored; a zero-row stream's buffer may
-        legitimately be null, so the type cannot be inferred from
-        pointer nullness). Picks serial or page-parallel decode. */
-    Status decodeStream(const StreamMeta& stream, bool as_f32,
-                        int64_t* i64_out, float* f32_out);
-    Status decodeStreamSerial(const StreamMeta& stream, bool as_f32,
-                              int64_t* i64_out, float* f32_out);
-    Status decodeStreamParallel(const StreamMeta& stream, bool as_f32,
-                                int64_t* i64_out, float* f32_out);
-    void decodePageTask(size_t t);
+    /** Select every footer column, in footer order, as the output. */
+    void selectAll();
+    /** planPageReads() over the selected columns (file order). */
+    Status planSelected(std::vector<PageReadPlan>& plans);
+    /** beginReadInto() over the selected columns. */
+    Status beginSelected(RowBatch& out);
+    /** The split over the in-memory body: plan the selected columns,
+        size @p out, completePage() every plan (serially or over
+        pool_), finishReadInto(). */
+    Status readSelected(RowBatch& out);
     bool schemaMatches(const RowBatch& batch) const;
 
     std::span<const uint8_t> data_;
@@ -313,23 +309,18 @@ class ColumnarFileReader
     uint64_t file_size_ = 0;
     uint64_t bytes_touched_ = 0;
     ThreadPool* pool_ = nullptr;
-    // Per-reader scratch reused across pages/partitions so the decode
-    // loop is allocation-free once warmed up.
-    std::vector<uint8_t> decomp_;
-    std::vector<int64_t> page_i64_;
-    std::vector<int64_t> dict_;
-    std::vector<int64_t> lengths_;
-    std::vector<PageTask> tasks_;
-    std::vector<Status> task_status_;
-    // Output type and base pointers of the stream currently decoding in
-    // parallel (the parallelFor closure captures only `this`).
-    bool par_f32_ = false;
-    int64_t* par_i64_out_ = nullptr;
-    float* par_f32_out_ = nullptr;
-    // Async split state: decoded sparse lengths per column (index =
-    // footer column; empty vectors for dense columns) and whether a
-    // beginReadInto() is pending its finishReadInto().
-    std::vector<std::vector<int64_t>> async_lengths_;
+    // Columns of the current read: output column -> footer column, and
+    // footer column -> output column (-1 = not read). The public split
+    // selects every column in footer order.
+    std::vector<uint32_t> selected_;
+    std::vector<int32_t> out_column_;
+    // Scratch reused across calls so warmed-up reads allocate nothing:
+    // the blocking read's page plans and per-plan pool statuses, and
+    // open()'s sorted column names.
+    std::vector<PageReadPlan> plans_;
+    std::vector<Status> plan_status_;
+    std::vector<std::string_view> names_;
+    // Whether a beginReadInto() is pending its finishReadInto().
     bool async_active_ = false;
 };
 

@@ -105,10 +105,10 @@ Status readPageFrame(std::span<const uint8_t> in, size_t& pos,
 
 /**
  * Parse the frame at @p pos (advanced past the frame) WITHOUT verifying
- * its checksum. The page-parallel reader uses this to split a stream
- * into per-page tasks up front; the CRC is still verified by the
- * readPageFrame call inside each decode task, so corruption detection
- * is unchanged.
+ * its checksum. ColumnarFileReader::planPageReads() uses this to plan
+ * every page up front; the CRC is still verified by the readPageFrame
+ * call in completePage(), before the page decodes, so corruption
+ * detection is unchanged.
  */
 Status scanPageFrame(std::span<const uint8_t> in, size_t& pos,
                      PageView& page);

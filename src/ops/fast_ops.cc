@@ -1,7 +1,6 @@
 #include "ops/fast_ops.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -53,96 +52,6 @@ bucketizeScalar(const float* values, int64_t* out, size_t n,
 }
 
 }  // namespace simd_detail
-
-EytzingerBucketizer::EytzingerBucketizer(const BucketBoundaries& boundaries)
-    : num_boundaries_(boundaries.size()), tree_(boundaries.size() + 1),
-      rank_(boundaries.size() + 1)
-{
-    size_t src = 0;
-    build(boundaries.values(), src, 1);
-    PRESTO_CHECK(src == num_boundaries_, "eytzinger build incomplete");
-}
-
-void
-EytzingerBucketizer::build(std::span<const float> sorted, size_t& src,
-                           size_t node)
-{
-    if (node > num_boundaries_)
-        return;
-    // In-order traversal of the implicit heap assigns sorted values, so
-    // rank_[node] is the node's index in the sorted boundary array.
-    build(sorted, src, 2 * node);
-    tree_[node] = sorted[src];
-    rank_[node] = src;
-    ++src;
-    build(sorted, src, 2 * node + 1);
-}
-
-int64_t
-EytzingerBucketizer::searchBucketId(float value) const
-{
-    if (std::isnan(value))
-        return 0;
-    // Descend the implicit tree; going right (boundary <= value) appends
-    // a 1 bit. Stripping the trailing 1s plus one step recovers the
-    // Eytzinger node of the first boundary > value (upper_bound).
-    size_t k = 1;
-    while (k <= num_boundaries_)
-        k = 2 * k + (tree_[k] <= value ? 1 : 0);
-    k >>= (std::countr_one(k) + 1);
-    if (k == 0)
-        return static_cast<int64_t>(num_boundaries_);  // above every bound
-    return static_cast<int64_t>(rank_[k]);
-}
-
-void
-EytzingerBucketizer::bucketizeInto(std::span<const float> values,
-                                   std::span<int64_t> out) const
-{
-    PRESTO_CHECK(out.size() == values.size(), "output size mismatch");
-    for (size_t i = 0; i < values.size(); ++i)
-        out[i] = searchBucketId(values[i]);
-}
-
-void
-sigridHashInPlaceUnrolled(std::span<int64_t> values, uint64_t seed,
-                          int64_t max_value)
-{
-    PRESTO_CHECK(max_value > 0, "SigridHash max_value must be positive");
-    size_t i = 0;
-    const size_t n4 = values.size() & ~size_t{3};
-    for (; i < n4; i += 4) {
-        const int64_t a = sigridHashMod(values[i + 0], seed, max_value);
-        const int64_t b = sigridHashMod(values[i + 1], seed, max_value);
-        const int64_t c = sigridHashMod(values[i + 2], seed, max_value);
-        const int64_t d = sigridHashMod(values[i + 3], seed, max_value);
-        values[i + 0] = a;
-        values[i + 1] = b;
-        values[i + 2] = c;
-        values[i + 3] = d;
-    }
-    for (; i < values.size(); ++i)
-        values[i] = sigridHashMod(values[i], seed, max_value);
-}
-
-void
-logTransformInPlaceStrided(std::span<float> values)
-{
-    size_t i = 0;
-    const size_t n4 = values.size() & ~size_t{3};
-    for (; i < n4; i += 4) {
-        const float a = fastLog1p(std::max(values[i + 0], 0.0f));
-        const float b = fastLog1p(std::max(values[i + 1], 0.0f));
-        const float c = fastLog1p(std::max(values[i + 2], 0.0f));
-        const float d = fastLog1p(std::max(values[i + 3], 0.0f));
-        values[i + 0] = a;
-        values[i + 1] = b;
-        values[i + 2] = c;
-        values[i + 3] = d;
-    }
-    for (; i < values.size(); ++i)
-        values[i] = fastLog1p(std::max(values[i], 0.0f));
-}
 
 void
 sigridHashInto(std::span<const int64_t> src, std::span<int64_t> dst,

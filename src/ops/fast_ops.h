@@ -4,14 +4,13 @@
  *
  * The paper's diagnosis is that latency-optimized CPUs fail to exploit
  * the inter-/intra-feature parallelism of feature generation and
- * normalization. These kernels squeeze what a CPU *can* do —
- * cache-friendly search layouts, instruction-level parallelism, and
- * runtime-dispatched SIMD (scalar / AVX2 / AVX-512, chosen once at
- * startup by activeSimdLevel()) — and are differentially tested against
- * the reference implementations in ops.h: every dispatch level returns
- * bit-identical MiniBatch output. `bench_ops_kernels` and
- * `bench_hotpath` quantify the (bounded) gains, motivating the move to
- * domain-specific hardware. See docs/PERF.md.
+ * normalization. These kernels squeeze what a CPU *can* do — a
+ * branchless bucketize schedule and runtime-dispatched SIMD (scalar /
+ * AVX2 / AVX-512, chosen once at startup by activeSimdLevel()) — and
+ * are differentially tested against the reference implementations in
+ * ops.h: every dispatch level returns bit-identical MiniBatch output.
+ * `bench_hotpath` quantifies the (bounded) gains, motivating the move
+ * to domain-specific hardware. See docs/PERF.md.
  */
 #ifndef PRESTO_OPS_FAST_OPS_H_
 #define PRESTO_OPS_FAST_OPS_H_
@@ -23,48 +22,6 @@
 #include "ops/ops.h"
 
 namespace presto {
-
-/**
- * Bucketize with an Eytzinger (BFS) boundary layout: the binary search
- * walks k -> 2k+{1,2}, so the hot top levels share a few cache lines and
- * the access pattern is prefetch-friendly.
- *
- * Produces bucket ids identical to BucketBoundaries::searchBucketId.
- */
-class EytzingerBucketizer
-{
-  public:
-    explicit EytzingerBucketizer(const BucketBoundaries& boundaries);
-
-    /** Bucket id of one value (== upper_bound index; NaN -> 0). */
-    int64_t searchBucketId(float value) const;
-
-    /** Vector form over a batch. */
-    void bucketizeInto(std::span<const float> values,
-                       std::span<int64_t> out) const;
-
-    size_t size() const { return num_boundaries_; }
-
-  private:
-    void build(std::span<const float> sorted, size_t& src, size_t node);
-
-    size_t num_boundaries_;
-    std::vector<float> tree_;   ///< 1-based Eytzinger order
-    std::vector<size_t> rank_;  ///< node -> index in the sorted array
-};
-
-/**
- * SigridHash over a buffer with 4-way unrolling; results identical to
- * sigridHashInPlace.
- */
-void sigridHashInPlaceUnrolled(std::span<int64_t> values, uint64_t seed,
-                               int64_t max_value);
-
-/**
- * Log normalization processed in strides to expose ILP; bit-identical to
- * logTransformInPlace (both apply fastLog1p per element).
- */
-void logTransformInPlaceStrided(std::span<float> values);
 
 // --- Runtime-dispatched SIMD kernels (scalar / AVX2 / AVX-512) -------------
 //

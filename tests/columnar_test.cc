@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -13,6 +14,7 @@
 #include "columnar/dataset.h"
 #include "columnar/encoding.h"
 #include "columnar/page.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "datagen/generator.h"
 
@@ -773,6 +775,183 @@ TEST(FileTest, ValidatePlansRejectsDamage)
     damaged[0].column = 1000;  // unknown column
     EXPECT_EQ(reader.validatePlans(damaged).code(),
               StatusCode::kCorruption);
+}
+
+TEST(FileTest, ValidatePlansRejectsWrappingFrameOffset)
+{
+    const auto bytes = ColumnarFileWriter().write(smallBatch(1, 30), 1);
+    ColumnarFileReader reader;
+    ASSERT_TRUE(reader.open(bytes).ok());
+    std::vector<PageReadPlan> plans;
+    ASSERT_TRUE(reader.planPageReads(plans).ok());
+    // offset + frame_bytes wraps past 2^64 to a value inside the stream.
+    plans[0].offset = std::numeric_limits<uint64_t>::max() - 7;
+    EXPECT_EQ(reader.validatePlans(plans).code(), StatusCode::kCorruption);
+}
+
+TEST(FileTest, RepeatedProjectionNameIsInvalidArgument)
+{
+    const auto bytes = ColumnarFileWriter().write(smallBatch(1, 10), 0);
+    ColumnarFileReader reader;
+    ASSERT_TRUE(reader.open(bytes).ok());
+    EXPECT_EQ(reader.readColumns({"dense_0", "label", "dense_0"})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    // The reader stays usable.
+    auto out = reader.readColumns({"dense_0"});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->numColumns(), 1u);
+}
+
+// --- crafted footers --------------------------------------------------------
+//
+// The footer CRC is unkeyed: a file whose directory was rewritten and
+// its CRC recomputed passes the checksum. Whatever such a footer
+// claims, the reader must answer with a Status, never crash or
+// allocate ahead of the data.
+
+void
+putLe32(std::vector<uint8_t>& out, uint32_t v)
+{
+    for (int shift = 0; shift < 32; shift += 8)
+        out.push_back(static_cast<uint8_t>(v >> shift));
+}
+
+/** Serialize @p footer in the PSF directory format. */
+std::vector<uint8_t>
+encodeFooter(const FileFooter& footer)
+{
+    std::vector<uint8_t> out;
+    enc::putVarint(out, footer.num_rows);
+    enc::putVarint(out, footer.partition_id);
+    enc::putVarint(out, footer.columns.size());
+    for (const ColumnMeta& col : footer.columns) {
+        enc::putVarint(out, col.name.size());
+        for (char c : col.name)
+            out.push_back(static_cast<uint8_t>(c));
+        out.push_back(static_cast<uint8_t>(col.kind));
+        enc::putVarint(out, col.streams.size());
+        for (const StreamMeta& s : col.streams) {
+            enc::putVarint(out, s.offset);
+            enc::putVarint(out, s.byte_size);
+            enc::putVarint(out, s.value_count);
+            enc::putVarint(out, s.num_pages);
+            enc::putVarint(out, s.heat);
+        }
+    }
+    return out;
+}
+
+/** @p file with its footer replaced by @p footer under a valid CRC. */
+std::vector<uint8_t>
+withFooter(const std::vector<uint8_t>& file,
+           const std::vector<uint8_t>& footer)
+{
+    const size_t size_pos = file.size() - 12;
+    uint32_t old_size = 0;
+    std::memcpy(&old_size, file.data() + size_pos, 4);
+    std::vector<uint8_t> out(file.begin(),
+                             file.begin() + static_cast<std::ptrdiff_t>(
+                                                size_pos - old_size));
+    out.insert(out.end(), footer.begin(), footer.end());
+    putLe32(out, static_cast<uint32_t>(footer.size()));
+    putLe32(out, crc32c(footer.data(), footer.size()));
+    for (char c : {'P', 'S', 'F', '1'})
+        out.push_back(static_cast<uint8_t>(c));
+    return out;
+}
+
+/** A valid 64-row RM1 file and its parsed footer. */
+std::pair<std::vector<uint8_t>, FileFooter>
+craftBase()
+{
+    auto bytes = ColumnarFileWriter().write(smallBatch(1, 64), 0);
+    ColumnarFileReader reader;
+    EXPECT_TRUE(reader.open(bytes).ok());
+    // The crafting helpers reproduce the writer's footer exactly.
+    EXPECT_EQ(withFooter(bytes, encodeFooter(reader.footer())), bytes);
+    return {std::move(bytes), reader.footer()};
+}
+
+/** open() and openTail() reject @p file as corruption, and no read
+    entry point proceeds past the failed open. */
+void
+expectFooterRejected(const std::vector<uint8_t>& file)
+{
+    ColumnarFileReader reader;
+    EXPECT_EQ(reader.open(file).code(), StatusCode::kCorruption);
+    EXPECT_EQ(reader.readAll().status().code(),
+              StatusCode::kFailedPrecondition);
+    RowBatch out;
+    EXPECT_EQ(reader.readAllInto(out).code(),
+              StatusCode::kFailedPrecondition);
+    std::vector<PageReadPlan> plans;
+    EXPECT_EQ(reader.planPageReads(plans).code(),
+              StatusCode::kFailedPrecondition);
+    ColumnarFileReader tail;
+    EXPECT_EQ(tail.openTail(file, file.size()).code(),
+              StatusCode::kCorruption);
+}
+
+TEST(CraftedFooterTest, WrappingStreamExtentIsCorruption)
+{
+    auto [bytes, footer] = craftBase();
+    // offset + byte_size wraps past 2^64 to a value inside the file.
+    StreamMeta& stream = footer.columns[1].streams[0];
+    stream.offset = std::numeric_limits<uint64_t>::max() - 7;
+    stream.byte_size = 16;
+    expectFooterRejected(withFooter(bytes, encodeFooter(footer)));
+}
+
+TEST(CraftedFooterTest, WrappingNameLengthIsCorruption)
+{
+    auto [bytes, footer] = craftBase();
+    std::vector<uint8_t> raw;
+    enc::putVarint(raw, footer.num_rows);
+    enc::putVarint(raw, footer.partition_id);
+    enc::putVarint(raw, 1);
+    enc::putVarint(raw, std::numeric_limits<uint64_t>::max());
+    raw.push_back('x');
+    expectFooterRejected(withFooter(bytes, raw));
+}
+
+TEST(CraftedFooterTest, DuplicateColumnNamesAreCorruption)
+{
+    auto [bytes, footer] = craftBase();
+    footer.columns[2].name = footer.columns[1].name;
+    expectFooterRejected(withFooter(bytes, encodeFooter(footer)));
+}
+
+TEST(CraftedFooterTest, OversizedRowClaimIsRejectedWithoutAllocating)
+{
+    auto [bytes, footer] = craftBase();
+    // 2^38 rows behind 2^32 - 1 claimed pages passes the footer's
+    // value-count plausibility check; sized up front, the first dense
+    // column alone would be a terabyte.
+    const uint64_t claim = uint64_t{1} << 38;
+    footer.num_rows = claim;
+    for (ColumnMeta& col : footer.columns) {
+        for (StreamMeta& stream : col.streams) {
+            stream.value_count = claim;
+            stream.num_pages = std::numeric_limits<uint32_t>::max();
+        }
+    }
+    const auto crafted = withFooter(bytes, encodeFooter(footer));
+
+    ColumnarFileReader reader;
+    ASSERT_TRUE(reader.open(crafted).ok());
+    EXPECT_EQ(reader.readAll().status().code(), StatusCode::kCorruption);
+    RowBatch fresh;
+    EXPECT_EQ(reader.readAllInto(fresh).code(), StatusCode::kCorruption);
+    // A warm batch of the same schema is not resized either.
+    RowBatch warm = smallBatch(1, 64);
+    EXPECT_EQ(reader.readAllInto(warm).code(), StatusCode::kCorruption);
+    EXPECT_EQ(warm.dense(1).values().size(), 64u);
+    EXPECT_EQ(reader.readColumns({"dense_0"}).status().code(),
+              StatusCode::kCorruption);
+    std::vector<PageReadPlan> plans;
+    EXPECT_EQ(reader.planPageReads(plans).code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -1208,6 +1208,120 @@ TEST(PageParallelTest, CorruptPagesSurfaceAsCorruption)
     }
 }
 
+TEST(PageParallelTest, SinglePageStreamsDecodeAcrossThePool)
+{
+    // RM1 at 2048 rows: every stream is one page, so all parallelism
+    // comes from decoding different streams' pages concurrently.
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 2048;
+    RawDataGenerator gen(cfg);
+    const RowBatch batch = gen.generatePartition(3);
+    const auto encoded = ColumnarFileWriter().write(batch, 3);
+
+    ColumnarFileReader serial;
+    ASSERT_TRUE(serial.open(encoded).ok());
+    size_t streams = 0, single_page = 0;
+    for (const auto& col : serial.footer().columns) {
+        for (const auto& stream : col.streams) {
+            ++streams;
+            single_page += stream.num_pages == 1 ? 1 : 0;
+        }
+    }
+    EXPECT_GT(2 * single_page, streams);
+    RowBatch want;
+    ASSERT_TRUE(serial.readAllInto(want).ok());
+    ASSERT_EQ(want, batch);
+
+    ThreadPool pool(4);
+    ColumnarFileReader parallel;
+    parallel.setThreadPool(&pool);
+    RowBatch got;
+    for (int pass = 0; pass < 2; ++pass) {  // fresh, then reused buffers
+        ASSERT_TRUE(parallel.open(encoded).ok());
+        ASSERT_TRUE(parallel.readAllInto(got).ok());
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(parallel.bytesTouched(), serial.bytesTouched());
+    }
+
+    const std::vector<std::string> names{"sparse_7", "label", "dense_2"};
+    ASSERT_TRUE(serial.open(encoded).ok());
+    ASSERT_TRUE(parallel.open(encoded).ok());
+    auto serial_cols = serial.readColumns(names);
+    auto parallel_cols = parallel.readColumns(names);
+    ASSERT_TRUE(serial_cols.ok());
+    ASSERT_TRUE(parallel_cols.ok());
+    EXPECT_EQ(*parallel_cols, *serial_cols);
+    EXPECT_EQ(parallel.bytesTouched(), serial.bytesTouched());
+}
+
+TEST(PageParallelTest, FirstDamagedPageInFileOrderIsReported)
+{
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 2048;
+    RawDataGenerator gen(cfg);
+    const auto encoded =
+        ColumnarFileWriter().write(gen.generatePartition(4), 4);
+    ColumnarFileReader planner;
+    ASSERT_TRUE(planner.open(encoded).ok());
+    std::vector<PageReadPlan> plans;
+    ASSERT_TRUE(planner.planPageReads(plans).ok());
+    // An early dense page and the last page of the file (a sparse
+    // values stream).
+    const PageReadPlan early = plans[1];
+    const PageReadPlan late = plans.back();
+    ASSERT_NE(early.column, late.column);
+
+    // Relabel a float page as plain_i64 and recompute its CRC: the
+    // frame verifies, then its decode fails with its own message.
+    const auto relabel = [](std::vector<uint8_t>& file,
+                            const PageReadPlan& plan) {
+        uint8_t& enc_byte = file[plan.offset];
+        enc_byte = static_cast<uint8_t>(
+            (enc_byte & kPageCompressedFlag) |
+            static_cast<uint8_t>(Encoding::kPlainI64));
+        const size_t covered = plan.frame_bytes - 4;
+        const uint32_t crc = crc32c(file.data() + plan.offset, covered);
+        std::memcpy(file.data() + plan.offset + covered, &crc, 4);
+    };
+    // Flip one payload bit: the page CRC fails.
+    const auto flip = [](std::vector<uint8_t>& file,
+                         const PageReadPlan& plan) {
+        file[plan.offset + plan.frame_bytes - 5] ^= 0x10;
+    };
+
+    struct Case {
+        const char* name;
+        bool relabel_early;
+    };
+    ThreadPool pool(4);
+    for (const Case& c : {Case{"decode error, then CRC", true},
+                          Case{"CRC, then CRC", false}}) {
+        auto damaged = encoded;
+        if (c.relabel_early)
+            relabel(damaged, early);
+        else
+            flip(damaged, early);
+        flip(damaged, late);
+
+        ColumnarFileReader serial;
+        ASSERT_TRUE(serial.open(damaged).ok());
+        const Status want = serial.readAll().status();
+        ASSERT_EQ(want.code(), StatusCode::kCorruption) << c.name;
+        EXPECT_EQ(want.message() == "page checksum mismatch",
+                  !c.relabel_early)
+            << c.name << ": " << want.message();
+
+        ColumnarFileReader parallel;
+        parallel.setThreadPool(&pool);
+        for (int rep = 0; rep < 10; ++rep) {
+            ASSERT_TRUE(parallel.open(damaged).ok());
+            const Status got = parallel.readAll().status();
+            EXPECT_EQ(got.code(), want.code()) << c.name;
+            EXPECT_EQ(got.message(), want.message()) << c.name;
+        }
+    }
+}
+
 TEST(PageParallelTest, IspEmulatorWithDecodePoolMatchesSerial)
 {
     RmConfig cfg = rmConfig(1);
