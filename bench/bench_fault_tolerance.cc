@@ -58,15 +58,11 @@ emitPipelineCurve(const RmConfig& cfg, PreprocBackend backend,
     opt.num_workers = workers;
     opt.num_gpus = kNumGpus;
     opt.batches_to_train = kBatches;
-    // Workers run the staged Extract/Transform prefetch pipeline; fault
-    // handling (retries, backoff, re-fetches, fail-stops) is unchanged.
-    opt.prefetch_overlap = true;
     const PipelineResult healthy = TrainingPipeline(cfg, opt).run();
 
     std::printf("    {\n"
                 "      \"backend\": \"%s\",\n"
                 "      \"provisioned_workers\": %d,\n"
-                "      \"prefetch_overlap\": true,\n"
                 "      \"curve\": [\n",
                 name, workers);
     for (size_t i = 0; i < std::size(kRates); ++i) {

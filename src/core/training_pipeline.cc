@@ -1,11 +1,10 @@
 #include "core/training_pipeline.h"
 
-#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/logging.h"
-#include "models/breakdown.h"
 #include "models/cpu_model.h"
 #include "models/gpu_model.h"
 #include "sim/sim_queue.h"
@@ -23,55 +22,17 @@ TrainingPipeline::TrainingPipeline(const RmConfig& config,
     PRESTO_CHECK(options_.batches_to_train >= 1, "nothing to simulate");
 }
 
-namespace {
-
-/** Fraction of a batch spent in the Extract (read + decode) stage. */
-double
-extractShare(const LatencyBreakdown& lat)
-{
-    const double t = lat.total();
-    return t > 0 ? (lat.extract_read + lat.extract_decode) / t : 0.0;
-}
-
-/**
- * Steady-state period scale of a two-stage pipeline: with Extract of
- * partition N+1 overlapping Transform of N, a worker emits a batch
- * every max(extract, transform) instead of their sum.
- */
-double
-overlapScale(const LatencyBreakdown& lat)
-{
-    const double es = extractShare(lat);
-    return std::max(es, 1.0 - es);
-}
-
-}  // namespace
-
 double
 TrainingPipeline::workerPeriodSeconds() const
 {
     switch (options_.backend) {
-      case PreprocBackend::kColocatedCpu: {
-        CpuWorkerModel cpu(config_);
-        const double period = 1.0 / cpu.colocatedThroughputPerCore();
-        return options_.prefetch_overlap
-                   ? period * overlapScale(cpu.batchLatencyLocalRead())
-                   : period;
-      }
-      case PreprocBackend::kDisaggCpu: {
-        CpuWorkerModel cpu(config_);
-        const double period = 1.0 / cpu.throughputPerCore();
-        return options_.prefetch_overlap
-                   ? period * overlapScale(cpu.batchLatency())
-                   : period;
-      }
-      case PreprocBackend::kIsp: {
-        IspDeviceModel device(options_.isp_params, config_);
-        const double period = 1.0 / device.throughput();
-        return options_.prefetch_overlap
-                   ? period * overlapScale(device.batchLatency())
-                   : period;
-      }
+      case PreprocBackend::kColocatedCpu:
+        return 1.0 / CpuWorkerModel(config_).colocatedThroughputPerCore();
+      case PreprocBackend::kDisaggCpu:
+        return 1.0 / CpuWorkerModel(config_).throughputPerCore();
+      case PreprocBackend::kIsp:
+        return 1.0 / IspDeviceModel(options_.isp_params, config_)
+                         .throughput();
     }
     PRESTO_PANIC("unknown backend");
 }

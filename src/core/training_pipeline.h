@@ -43,14 +43,6 @@ struct PipelineOptions {
     size_t batches_to_train = 512;///< simulation length
     IspParams isp_params;         ///< used when backend == kIsp
     FaultSpec faults;             ///< default: no faults injected
-    /**
-     * Model the staged Extract/Transform pipeline inside each worker:
-     * fetch+decode of partition N+1 overlaps the transform of N, so the
-     * steady-state batch period shrinks to the slower of the two stages
-     * (the backend's latency breakdown decides the split). Off keeps
-     * the seed's sequential per-worker schedule.
-     */
-    bool prefetch_overlap = false;
 };
 
 /** Fault-handling activity observed during one pipeline simulation. */

@@ -159,20 +159,11 @@ FastBucketizer::bucketizeInto(std::span<const float> values,
         std::fill(out.begin(), out.end(), int64_t{0});
         return;
     }
-    switch (activeSimdLevel()) {
-#if defined(PRESTO_HAVE_X86_SIMD)
-      case SimdLevel::kAvx512:  // no dedicated AVX-512 variant; AVX2 wins
-      case SimdLevel::kAvx2:
-        simd_detail::bucketizeAvx2(values.data(), out.data(),
-                                   values.size(), bounds_.data(),
-                                   halves_.data(), halves_.size());
-        return;
-#endif
-      default:
-        simd_detail::bucketizeScalar(values.data(), out.data(),
-                                     values.size(), bounds_.data(),
-                                     halves_.data(), halves_.size());
-    }
+    // Scalar on every level: a whole-column AVX2 gather loop measured
+    // no faster. The fused chains keep their per-register bucketize8.
+    simd_detail::bucketizeScalar(values.data(), out.data(), values.size(),
+                                 bounds_.data(), halves_.data(),
+                                 halves_.size());
 }
 
 }  // namespace presto

@@ -46,10 +46,10 @@ void fillMissingInPlaceFast(std::span<float> values, float fill_value);
 /**
  * Batch bucketizer with a branchless, value-independent bisection
  * schedule ("halves" sequence): every value walks the same sequence of
- * step sizes, so the vector form replaces the scalar upper_bound's
- * data-dependent branches with gathers + compares. Bucket ids are
- * identical to BucketBoundaries::searchBucketId (upper_bound index,
- * NaN -> 0) on every dispatch level.
+ * step sizes, so the fused op-chain VM's vector form (bucketize8)
+ * replaces the scalar upper_bound's data-dependent branches with
+ * gathers + compares. Bucket ids are identical to
+ * BucketBoundaries::searchBucketId (upper_bound index, NaN -> 0).
  */
 class FastBucketizer
 {
@@ -60,7 +60,8 @@ class FastBucketizer
     /** Bucket id of one value (== upper_bound index; NaN -> 0). */
     int64_t searchBucketId(float value) const;
 
-    /** Vector form over a batch (out.size() must equal values.size()). */
+    /** Batch form (out.size() must equal values.size()); scalar on
+        every SIMD level, where a whole-column AVX2 loop measured flat. */
     void bucketizeInto(std::span<const float> values,
                        std::span<int64_t> out) const;
 

@@ -6,8 +6,8 @@
 // The per-register bodies live in fast_ops_avx2_inl.h so the fused
 // op-chain VM (opvm_avx2.cc) executes the exact same instruction
 // sequences; these whole-column wrappers just add the loop and the
-// scalar tails. Every kernel is bit-identical to its scalar
-// counterpart:
+// scalar tails (bucketize8 has no wrapper: only the fused chains use
+// it). Every kernel is bit-identical to its scalar counterpart:
 //  - hashMod4 computes the exact 64-bit hash with decomposed 32-bit
 //    multiplies and an exact Barrett reduction for the modulo;
 //  - log8 replays fastLog1p's IEEE op sequence lane-wise;
@@ -67,27 +67,6 @@ fillAvx2(float* v, size_t n, float fill)
         if (std::isnan(v[i]))
             v[i] = fill;
     }
-}
-
-void
-bucketizeAvx2(const float* values, int64_t* out, size_t n,
-              const float* bounds, const int32_t* halves,
-              size_t num_halves)
-{
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m256i base = bucketize8(_mm256_loadu_ps(values + i), bounds,
-                                  halves, num_halves);
-        __m128i lo = _mm256_castsi256_si128(base);
-        __m128i hi = _mm256_extracti128_si256(base, 1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                            _mm256_cvtepi32_epi64(lo));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4),
-                            _mm256_cvtepi32_epi64(hi));
-    }
-    if (i < n)
-        bucketizeScalar(values + i, out + i, n - i, bounds, halves,
-                        num_halves);
 }
 
 }  // namespace presto::simd_detail

@@ -37,9 +37,6 @@ void fillAvx512(float* values, size_t n, float fill);
 void bucketizeScalar(const float* values, int64_t* out, size_t n,
                      const float* bounds, const int32_t* halves,
                      size_t num_halves);
-void bucketizeAvx2(const float* values, int64_t* out, size_t n,
-                   const float* bounds, const int32_t* halves,
-                   size_t num_halves);
 
 }  // namespace presto::simd_detail
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/rng.h"
 
 namespace presto {
 
@@ -49,24 +48,13 @@ TransformWork::measure(const RmConfig& config, const RowBatch& raw)
 }
 
 Preprocessor::Preprocessor(const RmConfig& config)
-    : config_(config),
-      boundaries_(BucketBoundaries::makeLogSpaced(config.bucket_size,
-                                                  kStandardBucketLo,
-                                                  kStandardBucketHi)),
-      fast_bucketizer_(boundaries_),
-      table_size_(static_cast<int64_t>(config.avg_embeddings))
+    : config_(config)
 {
     PRESTO_CHECK(config_.num_generated <= config_.num_dense,
                  "cannot generate more sparse features than dense inputs");
     program_ = CompiledProgram::compile(
         TransformPlan::standard(config_),
         Schema::makeRecSys(config_.num_dense, config_.num_sparse));
-}
-
-uint64_t
-Preprocessor::hashSeed(size_t table_index) const
-{
-    return mix64(0x516ffd4005ULL ^ table_index);
 }
 
 MiniBatch

@@ -15,14 +15,11 @@
 #ifndef PRESTO_OPS_PREPROCESSOR_H_
 #define PRESTO_OPS_PREPROCESSOR_H_
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "common/batch_arena.h"
 #include "common/thread_pool.h"
 #include "datagen/rm_config.h"
-#include "ops/fast_ops.h"
-#include "ops/ops.h"
 #include "ops/opvm.h"
 #include "tabular/minibatch.h"
 #include "tabular/row_batch.h"
@@ -98,22 +95,12 @@ class Preprocessor
                         ThreadPool* pool = nullptr) const;
 
     const RmConfig& config() const { return config_; }
-    const BucketBoundaries& boundaries() const { return boundaries_; }
-
-    /** Per-table hash seed (stable across runs). */
-    uint64_t hashSeed(size_t table_index) const;
-
-    /** Embedding-table size used as SigridHash max value. */
-    int64_t tableSize() const { return table_size_; }
 
     /** The cached compiled program preprocess() executes. */
     const CompiledProgram& program() const { return program_; }
 
   private:
     RmConfig config_;
-    BucketBoundaries boundaries_;
-    FastBucketizer fast_bucketizer_;
-    int64_t table_size_;
     CompiledProgram program_;
 };
 

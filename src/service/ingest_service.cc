@@ -1,8 +1,6 @@
 #include "service/ingest_service.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "common/batch_arena.h"
 #include "common/logging.h"
@@ -32,7 +30,6 @@ struct IngestService::Session {
     bool closing = false;
     Status error;  ///< first production failure (delivered after drain)
 
-    double vtime = 0;  ///< weighted-fair virtual time
     uint64_t next_index = 0;
     uint64_t produced = 0;
     uint64_t delivered = 0;
@@ -151,11 +148,8 @@ IngestService::openSession(const TenantSpec& spec)
 {
     if (spec.queue_capacity == 0)
         return Status::invalidArgument("queue_capacity must be >= 1");
-    // A non-positive (or non-finite) weight corrupts the virtual-time
-    // bookkeeping: 1/0 starves the session forever, a negative weight
-    // monopolizes every worker.
-    if (!std::isfinite(spec.weight) || spec.weight <= 0)
-        return Status::invalidArgument("weight must be positive");
+    if (Status st = WfqScheduler::checkWeight(spec.weight); !st.ok())
+        return st;
     auto reader = pinFor(spec);
     if (!reader.ok())
         return reader.status();
@@ -184,16 +178,9 @@ IngestService::openSession(const TenantSpec& spec)
                 "tenant " + spec.name + " rejected: " + decision.reason);
         }
     }
-    // A joining tenant starts at the minimum live virtual time so it
-    // neither starves others nor replays the backlog it never had.
-    double min_vtime = std::numeric_limits<double>::infinity();
-    for (const auto& [id, other] : sessions_) {
-        if (!other->closing)
-            min_vtime = std::min(min_vtime, other->vtime);
-    }
-    session->vtime = std::isfinite(min_vtime) ? min_vtime : 0.0;
     session->id = next_session_id_++;
     sessions_.emplace(session->id, session);
+    wfq_.join(session->id, spec.weight);
     work_cv_.notify_all();
     return session->id;
 }
@@ -221,21 +208,14 @@ IngestService::workerLoop()
     for (;;) {
         if (stopping_)
             return;
-        // Weighted-fair pick: eligible session with the smallest
-        // virtual time (ties: lowest id, keeping runs deterministic).
-        std::shared_ptr<Session> pick;
-        for (const auto& [id, session] : sessions_) {
-            if (!session->eligible())
-                continue;
-            if (pick == nullptr || session->vtime < pick->vtime)
-                pick = session;
-        }
-        if (pick == nullptr) {
+        const std::optional<uint64_t> picked = wfq_.pick(
+            [&](uint64_t id) { return sessions_.at(id)->eligible(); });
+        if (!picked) {
             work_cv_.wait(lock);
             continue;
         }
+        std::shared_ptr<Session> pick = sessions_.at(*picked);
         pick->in_flight = true;
-        pick->vtime += 1.0 / pick->spec.weight;
         const uint64_t index =
             pick->next_index % pick->reader.numPartitions();
         ++pick->next_index;
@@ -285,6 +265,14 @@ IngestService::nextBatch(uint64_t session_id)
                !session->error.ok();
     });
     if (!session->queue.empty()) {
+        // A full queue with nothing in flight is an idle session: its
+        // trainer, not the workers, held it back. Freeing a slot
+        // re-bases it, so it takes no catch-up burst. (A closing
+        // session may already have left the scheduler.)
+        if (session->queue.size() == session->spec.queue_capacity &&
+            !session->in_flight && !session->closing) {
+            wfq_.wake(session_id);
+        }
         DeliveredBatch batch = std::move(session->queue.front());
         session->queue.pop_front();
         ++session->delivered;
@@ -311,7 +299,8 @@ IngestService::closeSession(uint64_t session_id)
     // session the map no longer owns. (The shared_ptr would keep it
     // alive regardless; this keeps shutdown deterministic.)
     session->queue_cv.wait(lock, [&] { return !session->in_flight; });
-    sessions_.erase(session_id);
+    if (sessions_.erase(session_id) == 1)  // racing closes erase once
+        wfq_.leave(session_id);
     work_cv_.notify_all();
     return Status::okStatus();
 }

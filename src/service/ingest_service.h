@@ -16,11 +16,14 @@
  *    tenant whose declared demand would push any admitted tenant past
  *    its p99 SLO budget is rejected with an explicit reason.
  *  - A shared pool of preprocessing workers serves all admitted
- *    sessions under weighted-fair queueing: each produced batch
- *    advances the session's virtual time by 1/weight, and workers
- *    always serve the eligible session with the smallest virtual time,
- *    so a tenant with weight 2 gets twice the throughput of a weight-1
- *    tenant under contention.
+ *    sessions under weighted-fair queueing (wfq.h, the scheduler the
+ *    DES replay runs too): each production charges the session
+ *    1/weight, and workers always serve the eligible session with the
+ *    smallest start tag, so a tenant with weight 2 gets twice the
+ *    throughput of a weight-1 tenant under contention. A session
+ *    opened mid-stream, or returning from idle (its queue was full
+ *    with nothing in flight), starts at the system virtual time: it
+ *    takes no catch-up burst.
  *  - Trainer-demand backpressure: each session's output queue is
  *    bounded at its configured capacity, and a session is only
  *    *eligible* for production while it has queue space. A stalled
@@ -50,6 +53,7 @@
 #include "ops/plan.h"
 #include "service/admission.h"
 #include "service/dataset_catalog.h"
+#include "service/wfq.h"
 #include "tabular/minibatch.h"
 
 namespace presto {
@@ -176,6 +180,7 @@ class IngestService
     mutable std::mutex mu_;
     std::condition_variable work_cv_;  ///< workers: eligibility changed
     std::map<uint64_t, std::shared_ptr<Session>> sessions_;
+    WfqScheduler wfq_;  ///< one flow per open session, keyed by id
     uint64_t next_session_id_ = 1;
     bool stopping_ = false;
     std::vector<std::thread> workers_;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 #include <set>
 
 #include "common/logging.h"
 #include "service/admission.h"
+#include "service/wfq.h"
 #include "sim/simulator.h"
 
 namespace presto {
@@ -16,13 +18,12 @@ namespace {
 /** Live DES state of one tenant. */
 struct TenantState {
     const ScenarioTenant* spec = nullptr;
-    size_t index = 0;  ///< input order; WFQ tie-break
+    size_t index = 0;  ///< input order; WFQ flow id and tie-break
     bool admitted = false;
 
     std::deque<double> backlog;  ///< arrival times awaiting a device
     size_t in_flight = 0;        ///< batches being produced
     size_t queue_occupancy = 0;  ///< produced, not yet consumed (stall)
-    double vtime = 0;
     uint64_t pinned_epoch = 0;   ///< 0 = lifecycle off / not joined
 
     TenantReport report;
@@ -50,7 +51,7 @@ struct ScenarioState {
     std::vector<TenantState> tenants;
     int capacity = 0;  ///< surviving devices
     int busy = 0;
-    double global_vtime = 0;
+    WfqScheduler wfq;  ///< one flow per tenant, keyed by input index
     double busy_device_sec = 0;
     uint64_t devices_failed = 0;
     double lost_device_sec = 0;
@@ -108,17 +109,11 @@ void
 ScenarioState::dispatch()
 {
     while (busy < capacity) {
-        TenantState* pick = nullptr;
-        for (TenantState& tenant : tenants) {
-            if (!tenant.eligible())
-                continue;
-            if (pick == nullptr || tenant.vtime < pick->vtime)
-                pick = &tenant;
-        }
-        if (pick == nullptr)
+        const std::optional<uint64_t> picked = wfq.pick(
+            [this](uint64_t id) { return tenants[id].eligible(); });
+        if (!picked)
             return;
-        global_vtime = pick->vtime;
-        pick->vtime += 1.0 / pick->spec->weight;
+        TenantState* pick = &tenants[*picked];
         const double arrival_time = pick->backlog.front();
         pick->backlog.pop_front();
         ++pick->in_flight;
@@ -164,10 +159,10 @@ ScenarioState::dispatch()
 void
 ScenarioState::arrive(TenantState& tenant)
 {
-    // A tenant returning from idle rejoins at the current system virtual
-    // time: its stale (small) vtime must not buy it a catch-up burst.
+    // A tenant returning from idle rejoins at the system virtual time:
+    // its stale (small) tag must not buy it a catch-up burst.
     if (tenant.backlog.empty() && tenant.in_flight == 0)
-        tenant.vtime = std::max(tenant.vtime, global_vtime);
+        wfq.wake(tenant.index);
     ++tenant.report.arrivals;
     tenant.backlog.push_back(sim.now());
     tenant.report.backlog_peak =
@@ -307,6 +302,11 @@ runServiceScenario(const ScenarioOptions& options,
             spec.traffic.diurnal.mean_batches_per_sec =
                 batches_per_day / spec.traffic.diurnal.period_sec;
         }
+        // Every flow joins at tag 0 and is stamped when it first becomes
+        // backlogged (arrive), not at admission: the system virtual time
+        // is not monotone here (a tenant leaving a stall is served at
+        // its old tag), so a stamp taken at admission could differ.
+        state.wfq.join(i, spec.weight);
         TenantState& tenant = state.tenants[i];
         tenant.spec = &spec;
         tenant.index = i;

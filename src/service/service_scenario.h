@@ -5,11 +5,12 @@
  *
  * The threaded IngestService cannot be run for a simulated day inside a
  * test, so this scenario replays the same policies — admission control
- * (admission.h), weighted-fair device scheduling, and bounded
- * per-tenant output queues — on the DES engine (sim/simulator.h) at
- * full fleet scale: a pool of ISP devices serves batch requests from
- * tenants whose offered load follows diurnal curves with load spikes
- * (diurnal.h), while FaultInjector fail-stops remove devices mid-day.
+ * (admission.h), weighted-fair device scheduling (the service's own
+ * WfqScheduler, wfq.h), and bounded per-tenant output queues — on the
+ * DES engine (sim/simulator.h) at full fleet scale: a pool of ISP
+ * devices serves batch requests from tenants whose offered load follows
+ * diurnal curves with load spikes (diurnal.h), while FaultInjector
+ * fail-stops remove devices mid-day.
  *
  * The scenario is the evidence generator for docs/SERVICE.md and
  * bench_service: identical seeds and options produce bit-identical
@@ -50,7 +51,7 @@ struct ScenarioTenant {
     double requests_per_user_per_day = 0;
     double samples_per_batch = 1;
     TrafficModel traffic;
-    double weight = 1.0;       ///< weighted-fair share
+    double weight = 1.0;       ///< weighted-fair share (> 0, finite)
     double slo_p99_sec = 0;    ///< p99 batch-latency budget (0 = none)
     size_t queue_capacity = 8; ///< bounded output queue toward the trainer
     /** Admission request time; tenants may join mid-day. */

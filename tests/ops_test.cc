@@ -461,13 +461,6 @@ TEST(PreprocessorTest, DeterministicAcrossInstances)
         EXPECT_EQ(a.sparse[i].values, b.sparse[i].values);
 }
 
-TEST(PreprocessorTest, HashSeedsDifferPerTable)
-{
-    Preprocessor pre(smallConfig());
-    EXPECT_NE(pre.hashSeed(0), pre.hashSeed(1));
-    EXPECT_EQ(pre.hashSeed(3), pre.hashSeed(3));
-}
-
 TEST(PreprocessorDeathTest, TooManyGeneratedPanics)
 {
     RmConfig cfg = smallConfig();

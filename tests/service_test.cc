@@ -1,16 +1,18 @@
 /**
  * @file
  * Service-tier tests: epoch-versioned DatasetCatalog (including crash
- * mid-publish and recovery), admission control, the threaded
- * IngestService (backpressure, strict order, epoch pinning), the DES
- * service scenario (fair shares, determinism, bounded queues), and the
- * PartitionStore cache budget the catalog builds on.
+ * mid-publish and recovery), admission control, the shared WFQ
+ * scheduler, the threaded IngestService (backpressure, strict order,
+ * epoch pinning, weighted shares, no catch-up burst after a stall), the
+ * DES service scenario (fair shares, determinism, bounded queues), and
+ * the PartitionStore cache budget the catalog builds on.
  */
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +20,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "service/dataset_catalog.h"
 #include "service/ingest_service.h"
 #include "service/service_scenario.h"
+#include "service/wfq.h"
 #include "store/segment_store.h"
 
 namespace presto {
@@ -113,6 +117,68 @@ TEST(AdmissionTest, P99ProjectionMonotoneAndSaturating)
     EXPECT_NEAR(projectedP99Sec(0.2, 0.0), 0.2, 1e-12);
     EXPECT_LT(projectedP99Sec(0.2, 0.3), projectedP99Sec(0.2, 0.8));
     EXPECT_GE(projectedP99Sec(0.2, 1.0), 1e8);  // saturated: no promise
+}
+
+// --- WfqScheduler (shared by the service and the DES) -----------------
+
+TEST(WfqSchedulerTest, WeightedOrderTiesAndWake)
+{
+    using Order = std::vector<uint64_t>;
+    const auto all = [](uint64_t) { return true; };
+    const auto only = [](uint64_t want) {
+        return [want](uint64_t id) { return id == want; };
+    };
+    const auto picks = [](WfqScheduler& wfq, const auto& eligible, int n) {
+        Order order;
+        for (int i = 0; i < n; ++i)
+            order.push_back(*wfq.pick(eligible));
+        return order;
+    };
+
+    WfqScheduler wfq;
+    wfq.join(1, 2.0);
+    wfq.join(2, 1.0);
+    // 2:1 order; equal tags go to the lower id.
+    EXPECT_EQ(picks(wfq, all, 6), (Order{1, 2, 1, 1, 2, 1}));
+    // A flow joining mid-stream starts at the system virtual time (the
+    // last pick's tag, 1.5), so it is served once, not twice, before
+    // the others (tags 2.0) get their turn.
+    wfq.join(3, 1.0);
+    EXPECT_EQ(picks(wfq, all, 3), (Order{3, 1, 2}));
+    // The caller's predicate decides eligibility.
+    EXPECT_EQ(*wfq.pick(only(2)), 2u);
+    EXPECT_FALSE(wfq.pick([](uint64_t) { return false; }).has_value());
+    wfq.leave(3);
+    EXPECT_FALSE(wfq.pick(only(3)).has_value());
+    for (uint64_t id : picks(wfq, all, 6))
+        EXPECT_NE(id, 3u);
+
+    // Flow 2 idles while flow 1 is served ten times. Woken, it rejoins
+    // at the system virtual time and alternates with flow 1 instead of
+    // taking ten picks in a row.
+    WfqScheduler idle;
+    idle.join(1, 1.0);
+    idle.join(2, 1.0);
+    picks(idle, only(1), 10);
+    idle.wake(2);
+    EXPECT_EQ(picks(idle, all, 4), (Order{2, 1, 2, 1}));
+    // Waking never lowers a tag that is already ahead (flow 1: 12 vs a
+    // system virtual time of 11), so flow 2 still goes next.
+    idle.wake(1);
+    EXPECT_EQ(*idle.pick(all), 2u);
+}
+
+TEST(WfqSchedulerTest, RejectsDegenerateWeights)
+{
+    for (double weight : {0.0, -1.0,
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+        const Status st = WfqScheduler::checkWeight(weight);
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+            << "weight=" << weight;
+        EXPECT_EQ(st.message(), "weight must be positive");
+    }
+    EXPECT_TRUE(WfqScheduler::checkWeight(0.5).ok());
 }
 
 // --- DatasetCatalog, in-memory mode ----------------------------------
@@ -503,6 +569,116 @@ TEST(IngestServiceTest, SessionsStayPinnedWhileHeadAdvances)
     ASSERT_TRUE(service.closeSession(head_session.value()).ok());
 }
 
+/** Batches produced so far per tenant, from one snapshot. */
+std::map<std::string, uint64_t>
+producedByTenant(const IngestService& service)
+{
+    std::map<std::string, uint64_t> produced;
+    for (const SessionStats& stats : service.allSessionStats())
+        produced[stats.tenant] = stats.produced;
+    return produced;
+}
+
+/** Sleep until @p tenant has produced at least @p count batches. */
+void
+waitForProduced(const IngestService& service, const std::string& tenant,
+                uint64_t count)
+{
+    while (producedByTenant(service)[tenant] < count)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+// The two WFQ tests below use one worker and queues deep enough never
+// to fill while they measure, so a session without a pulling trainer
+// stays backlogged and the pick order alone decides the counts.
+constexpr size_t kDeepQueue = 512;
+
+TEST(IngestServiceTest, WeightedSharesWithOneWorker)
+{
+    DatasetCatalog catalog;
+    ASSERT_TRUE(catalog.registerDataset(smallSpec("clicks")).ok());
+    ASSERT_TRUE(catalog.publishEpoch("clicks").ok());
+
+    ServiceOptions options;
+    options.workers = 1;
+    IngestService service(catalog, options);
+
+    TenantSpec gold;
+    gold.name = "gold";
+    gold.dataset = "clicks";
+    gold.weight = 2.0;
+    gold.queue_capacity = kDeepQueue;
+    TenantSpec bronze = gold;
+    bronze.name = "bronze";
+    bronze.weight = 1.0;
+    auto gold_id = service.openSession(gold);
+    auto bronze_id = service.openSession(bronze);
+    ASSERT_TRUE(gold_id.ok());
+    ASSERT_TRUE(bronze_id.ok());
+
+    // Count from bronze's first batch on: until bronze opened, the
+    // worker served gold alone.
+    waitForProduced(service, "bronze", 1);
+    std::map<std::string, uint64_t> before = producedByTenant(service);
+    waitForProduced(service, "bronze", 61);
+    std::map<std::string, uint64_t> after = producedByTenant(service);
+    ASSERT_LT(after["gold"], kDeepQueue);
+    const uint64_t gold_made = after["gold"] - before["gold"];
+    const uint64_t bronze_made = after["bronze"] - before["bronze"];
+    const double ratio = static_cast<double>(gold_made) /
+                         static_cast<double>(bronze_made);
+    EXPECT_GT(ratio, 1.8) << gold_made << " vs " << bronze_made;
+    EXPECT_LT(ratio, 2.2) << gold_made << " vs " << bronze_made;
+
+    ASSERT_TRUE(service.closeSession(*gold_id).ok());
+    ASSERT_TRUE(service.closeSession(*bronze_id).ok());
+}
+
+TEST(IngestServiceTest, StalledSessionTakesNoCatchUpBurst)
+{
+    DatasetCatalog catalog;
+    ASSERT_TRUE(catalog.registerDataset(smallSpec("clicks")).ok());
+    ASSERT_TRUE(catalog.publishEpoch("clicks").ok());
+
+    ServiceOptions options;
+    options.workers = 1;
+    IngestService service(catalog, options);
+
+    TenantSpec busy;
+    busy.name = "busy";
+    busy.dataset = "clicks";
+    busy.queue_capacity = kDeepQueue;
+    TenantSpec stalled = busy;
+    stalled.name = "stalled";
+    stalled.queue_capacity = 4;
+    auto busy_id = service.openSession(busy);
+    auto stalled_id = service.openSession(stalled);
+    ASSERT_TRUE(busy_id.ok());
+    ASSERT_TRUE(stalled_id.ok());
+
+    // "stalled"'s trainer pulls nothing: its queue fills and the worker
+    // serves "busy" alone for 60 batches.
+    waitForProduced(service, "busy", 60);
+
+    // The stalled trainer resumes. Back from idle, its session rejoins
+    // at the system virtual time: the equal-weight sessions alternate
+    // instead of "stalled" replaying the productions it sat out.
+    const std::map<std::string, uint64_t> before = producedByTenant(service);
+    for (int i = 0; i < 20; ++i)
+        ASSERT_TRUE(service.nextBatch(*stalled_id).ok());
+    const std::map<std::string, uint64_t> after = producedByTenant(service);
+    ASSERT_LT(after.at("busy"), kDeepQueue);
+
+    const uint64_t busy_made = after.at("busy") - before.at("busy");
+    const uint64_t stalled_made = after.at("stalled") - before.at("stalled");
+    EXPECT_GE(stalled_made, 16u);
+    EXPECT_GE(2 * busy_made, stalled_made)
+        << "busy " << busy_made << " vs stalled " << stalled_made;
+
+    ASSERT_TRUE(service.closeSession(*busy_id).ok());
+    ASSERT_TRUE(service.closeSession(*stalled_id).ok());
+}
+
 /** Bitwise equality of two delivered batches. */
 bool
 sameBatch(const MiniBatch& a, const MiniBatch& b)
@@ -711,6 +887,22 @@ TEST(ServiceScenarioTest, AdmissionControlGatesJoiner)
     ScenarioReport open = runServiceScenario(options, {anchor, flood});
     EXPECT_TRUE(open.tenants[1].admitted);
     EXPECT_GT(open.tenants[1].arrivals, 0u);
+}
+
+TEST(ServiceScenarioDeathTest, RejectsNonPositiveWeight)
+{
+    ScenarioOptions options;
+    options.devices = 1;
+    options.service_sec = 0.1;
+    options.duration_sec = 10;
+    // Weight 0 would give the tenant an infinite virtual time; a
+    // negative weight would let it take every device.
+    for (double weight : {0.0, -1.0}) {
+        EXPECT_DEATH(runServiceScenario(
+                         options, {constantTenant("steady", 2, 1.0),
+                                   constantTenant("bad", 2, weight)}),
+                     "weight must be positive");
+    }
 }
 
 // --- PartitionStore cache budget -------------------------------------
