@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/batch_arena.h"
 #include "common/crc32.h"
 #include "common/durable_file.h"
 #include "common/thread_pool.h"
@@ -468,7 +469,7 @@ ColumnarFileReader::readSelected(RowBatch& out)
     Status st;
     if (pool_ == nullptr || plans_.size() < 2) {
         for (const PageReadPlan& plan : plans_) {
-            st = completePage(plan, frame(plan), out);
+            st = completePage(plan, frame(plan), out, &scratch_);
             if (!st.ok())
                 break;
         }
@@ -696,7 +697,8 @@ ColumnarFileReader::beginSelected(RowBatch& out)
             // turns them into CSR offsets in place.
             SparseColumn& col = out.mutableSparse(o);
             col.mutableOffsets().resize(footer_.num_rows + 1);
-            col.mutableValues().resize(meta.streams[1].value_count);
+            resizeReused(col.mutableValues(),
+                         meta.streams[1].value_count);
         } else {
             out.mutableDense(o).mutableValues().resize(footer_.num_rows);
         }
@@ -708,7 +710,7 @@ ColumnarFileReader::beginSelected(RowBatch& out)
 Status
 ColumnarFileReader::completePage(const PageReadPlan& plan,
                                  std::span<const uint8_t> frame,
-                                 RowBatch& out)
+                                 RowBatch& out, PageScratch* scratch)
 {
     if (!async_active_)
         return Status::failedPrecondition("no async read in progress");
@@ -722,13 +724,12 @@ ColumnarFileReader::completePage(const PageReadPlan& plan,
     if (pos != frame.size() || page.value_count != plan.value_count)
         return Status::corruption("page frame disagrees with read plan");
 
-    // Worker-local scratch: pages may decode on a shared pool
-    // concurrently, so the reader cannot own it.
-    static thread_local std::vector<uint8_t> tl_decomp;
-    static thread_local std::vector<int64_t> tl_dict;
-    static thread_local std::vector<int64_t> tl_page;
+    // Pages decoding concurrently on a shared pool each use their
+    // thread's scratch; a serial caller brings its own.
+    static thread_local PageScratch tl_scratch;
+    PageScratch& sc = scratch != nullptr ? *scratch : tl_scratch;
     std::span<const uint8_t> raw;
-    PRESTO_RETURN_IF_ERROR(pagePayload(page, tl_decomp, raw));
+    PRESTO_RETURN_IF_ERROR(pagePayload(page, sc.payload, sc.lz_stream, raw));
 
     const auto col = static_cast<size_t>(out_column_[plan.column]);
     if (footer_.columns[plan.column].kind != FeatureKind::kSparse) {
@@ -741,30 +742,30 @@ ColumnarFileReader::completePage(const PageReadPlan& plan,
     if (plan.stream == 1 && fast) {
         return enc::decodeI64Into(
             page.encoding, raw, page.value_count,
-            sparse.mutableValues().data() + plan.out_offset, tl_dict);
+            sparse.mutableValues().data() + plan.out_offset, sc.dict);
     }
     // Row lengths, and values under the reference decoder, go through
     // page-sized scratch.
     if (fast) {
-        tl_page.resize(page.value_count);
+        sc.values.resize(page.value_count);
         PRESTO_RETURN_IF_ERROR(enc::decodeI64Into(
-            page.encoding, raw, page.value_count, tl_page.data(), tl_dict));
+            page.encoding, raw, page.value_count, sc.values.data(), sc.dict));
     } else {
         PRESTO_RETURN_IF_ERROR(enc::decodeI64Reference(
-            page.encoding, raw, page.value_count, tl_page, tl_dict));
+            page.encoding, raw, page.value_count, sc.values, sc.dict));
     }
     if (plan.stream == 1) {
-        std::copy(tl_page.begin(), tl_page.end(),
+        std::copy(sc.values.begin(), sc.values.end(),
                   sparse.mutableValues().data() + plan.out_offset);
         return Status::okStatus();
     }
     uint32_t* lengths = sparse.mutableOffsets().data() + 1 + plan.out_offset;
-    for (size_t i = 0; i < tl_page.size(); ++i) {
-        if (tl_page[i] < 0)
+    for (size_t i = 0; i < sc.values.size(); ++i) {
+        if (sc.values[i] < 0)
             return Status::corruption("negative sparse row length");
-        if (tl_page[i] > int64_t{UINT32_MAX})
+        if (sc.values[i] > int64_t{UINT32_MAX})
             return Status::corruption("sparse row length exceeds uint32");
-        lengths[i] = static_cast<uint32_t>(tl_page[i]);
+        lengths[i] = static_cast<uint32_t>(sc.values[i]);
     }
     return Status::okStatus();
 }

@@ -93,6 +93,18 @@ struct PageReadPlan {
     bool hot = false;          ///< page belongs to a hot (striped) stream
 };
 
+/**
+ * Page-sized buffers of one completePage() at a time: the decompressed
+ * payload, kLzEntropy's LZ intermediate, the dictionary and the decoded
+ * row lengths. Capacity is reused across pages.
+ */
+struct PageScratch {
+    std::vector<uint8_t> payload;
+    std::vector<uint8_t> lz_stream;
+    std::vector<int64_t> dict;
+    std::vector<int64_t> values;
+};
+
 /** Writer knobs. */
 struct WriterOptions {
     /**
@@ -262,9 +274,14 @@ class ColumnarFileReader
      * calls on *distinct* plans of one begun read (pages decode onto
      * disjoint output slices), which is what lets completed pages of
      * different partitions share one decode ThreadPool.
+     * @param scratch Page-sized decode buffers. A caller that decodes
+     *        its pages one at a time passes its own, so they live as
+     *        long as it does; nullptr uses the calling thread's (the
+     *        choice for concurrent calls on a pool).
      */
     Status completePage(const PageReadPlan& plan,
-                        std::span<const uint8_t> frame, RowBatch& out);
+                        std::span<const uint8_t> frame, RowBatch& out,
+                        PageScratch* scratch = nullptr);
 
     /**
      * Finalize after every planned page completed: prefix-sums the
@@ -320,6 +337,7 @@ class ColumnarFileReader
     std::vector<PageReadPlan> plans_;
     std::vector<Status> plan_status_;
     std::vector<std::string_view> names_;
+    PageScratch scratch_;  ///< serial completePage() calls
     // Whether a beginReadInto() is pending its finishReadInto().
     bool async_active_ = false;
 };

@@ -197,7 +197,7 @@ scanPageFrame(std::span<const uint8_t> in, size_t& pos, PageView& page)
 
 Status
 pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
-            std::span<const uint8_t>& raw)
+            std::vector<uint8_t>& lz_stream, std::span<const uint8_t>& raw)
 {
     switch (page.codec) {
       case PageCodec::kNone:
@@ -226,7 +226,6 @@ pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
         if (info.raw_bytes > max_lz)
             return Status::corruption(
                 "entropy-coded LZ stream larger than worst case");
-        static thread_local std::vector<uint8_t> lz_stream;
         lz_stream.resize(info.raw_bytes);
         PRESTO_RETURN_IF_ERROR(enc::huffDecompress(
             page.payload, {lz_stream.data(), lz_stream.size()}));
@@ -238,6 +237,14 @@ pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
     }
     raw = {scratch.data(), scratch.size()};
     return Status::okStatus();
+}
+
+Status
+pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
+            std::span<const uint8_t>& raw)
+{
+    static thread_local std::vector<uint8_t> lz_stream;
+    return pagePayload(page, scratch, lz_stream, raw);
 }
 
 }  // namespace presto

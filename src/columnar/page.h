@@ -117,10 +117,15 @@ Status scanPageFrame(std::span<const uint8_t> in, size_t& pos,
  * Materialize the page's *raw* (decoded-ready) payload: the stored
  * bytes for an uncompressed page, or the decompression of them into
  * @p scratch (resized to raw_size; capacity reused across calls, so a
- * warmed-up decode loop stays allocation-free — kLzEntropy's
- * intermediate LZ stream lives in a thread-local buffer with the same
- * warm-up property). Call only after readPageFrame() verified the CRC.
+ * warmed-up decode loop stays allocation-free). kLzEntropy's
+ * intermediate LZ stream goes through @p lz_stream, reused the same
+ * way. Call only after readPageFrame() verified the CRC.
  */
+Status pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
+                   std::vector<uint8_t>& lz_stream,
+                   std::span<const uint8_t>& raw);
+
+/** pagePayload() with the LZ intermediate in a thread-local buffer. */
 Status pagePayload(const PageView& page, std::vector<uint8_t>& scratch,
                    std::span<const uint8_t>& raw);
 

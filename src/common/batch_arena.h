@@ -61,6 +61,23 @@ class BatchArena
     size_t batches_ = 0;
 };
 
+/**
+ * Resize @p v, a buffer reused batch after batch, to @p n elements. A
+ * sparse column's value count differs by a few percent from one
+ * partition to the next, so growth reserves 1/8 headroom: a buffer
+ * sized by one partition then absorbs the others instead of
+ * reallocating (vector's own growth would double it whenever a larger
+ * partition came along).
+ */
+template <typename T>
+void
+resizeReused(std::vector<T>& v, size_t n)
+{
+    if (n > v.capacity())
+        v.reserve(n + n / 8);
+    v.resize(n);
+}
+
 }  // namespace presto
 
 #endif  // PRESTO_COMMON_BATCH_ARENA_H_

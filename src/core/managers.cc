@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "common/batch_arena.h"
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -12,7 +11,6 @@
 #include "models/cpu_model.h"
 #include "models/gpu_model.h"
 #include "models/isp_model.h"
-#include "tabular/row_batch.h"
 
 namespace presto {
 
@@ -40,6 +38,12 @@ PreprocessManager::~PreprocessManager()
     queue_not_empty_.notify_all();
     for (auto& w : workers_)
         w.join();
+    // Undelivered and recycled batches outlive this manager in the
+    // store's pool, so the next run over the store starts warm.
+    for (auto& mb : free_batches_)
+        store_.shells().giveBatch(std::move(mb));
+    for (auto& mb : queue_)
+        store_.shells().giveBatch(std::move(mb));
 }
 
 void
@@ -66,23 +70,25 @@ void
 PreprocessManager::workerLoop()
 {
     // Run to completion: each worker takes its partition from Extract
-    // to a delivered MiniBatch, reusing its own decode buffers and
-    // arena across partitions.
-    PartitionProducer producer(decode_pool_, io_ring_);
-    BatchArena arena;
-    RowBatch batch;
+    // to a delivered MiniBatch, reusing its producer, decode batch and
+    // arena across partitions. They are borrowed from the store's pool
+    // for the worker's life, so they outlive this manager too.
+    std::unique_ptr<WorkerShell> shell = store_.shells().takeWorker();
+    PartitionProducer& producer = shell->producer;
+    producer.bind(decode_pool_, io_ring_);
     uint64_t pid = 0;
     while (claimPartition(pid)) {
         // Extract: fetch the encoded partition from the (local) SSD and
         // decode it. In Disagg mode the encoded bytes crossed the
         // datacenter network first; in PreSto mode they moved
         // SSD->FPGA over the device-internal P2P path.
-        const Status st = producer.produce(store_, pid, batch);
+        const Status st = producer.produce(store_, pid, shell->batch);
         PRESTO_CHECK(st.ok(), "partition ", pid, " unreadable: ",
                      st.toString());
         const ProduceStats& produced = producer.lastStats();
 
-        // Transform: the full operator pipeline, into a recycled batch.
+        // Transform: the full operator pipeline, into a recycled batch,
+        // else a pooled one; a fresh one only when both are empty.
         std::unique_ptr<MiniBatch> mb;
         {
             std::unique_lock lock(mu_);
@@ -92,16 +98,18 @@ PreprocessManager::workerLoop()
             }
         }
         if (mb == nullptr)
-            mb = std::make_unique<MiniBatch>();
-        preprocessor_.preprocessInto(batch, *mb, arena);
+            mb = store_.shells().takeBatch();
+        preprocessor_.preprocessInto(shell->batch, *mb, shell->arena);
         const uint64_t tensor_bytes = mb->byteSize();
 
         std::unique_lock lock(mu_);
         queue_not_full_.wait(lock, [this] {
             return queue_.size() < queue_capacity_ || stopping_;
         });
-        if (stopping_)
-            return;
+        if (stopping_) {
+            free_batches_.push_back(std::move(mb));
+            break;
+        }
         if (mode_ == PreprocessMode::kDisaggCpu) {
             stats_.raw_bytes_over_network += produced.raw_bytes;
         } else {
@@ -115,6 +123,8 @@ PreprocessManager::workerLoop()
         lock.unlock();
         queue_not_empty_.notify_one();
     }
+    producer.bind(nullptr, nullptr);  // the ring may go before the store
+    store_.shells().giveWorker(std::move(shell));
 }
 
 void

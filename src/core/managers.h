@@ -54,6 +54,16 @@ struct RunStats {
 /**
  * Spawns preprocessing workers over a PartitionStore and serves
  * train-ready mini-batches (Figure 9 steps 3-5).
+ *
+ * Buffer ownership: the manager owns no long-lived buffers. Each
+ * worker borrows a WorkerShell (its PartitionProducer, decode RowBatch
+ * and BatchArena) from the store's ShellPool (PartitionStore::shells())
+ * when it starts and returns it when it exits. A worker transforms into a recycled MiniBatch, else a
+ * pooled one, and allocates only when both are empty. The destructor
+ * returns recycled and undelivered batches to the pool; batches the
+ * caller still holds stay the caller's. So consecutive managers over
+ * one store (one per epoch) reuse the same memory, and what the pool
+ * retains is bounded by the most shells the managers held at once.
  */
 class PreprocessManager
 {
@@ -101,7 +111,8 @@ class PreprocessManager
     {
     }
 
-    /** Stops workers and drains the queue. */
+    /** Stops workers; recycled and undelivered batches go to the
+        store's pool. */
     ~PreprocessManager();
 
     PreprocessManager(const PreprocessManager&) = delete;
@@ -118,8 +129,10 @@ class PreprocessManager
 
     /**
      * Return a consumed mini-batch so its tensors are reused for a
-     * later partition (steady-state zero-allocation delivery). Safe to
-     * skip — workers then allocate fresh batches as in the seed.
+     * later partition (steady-state zero-allocation delivery), by this
+     * manager or, after it is destroyed, by the next one over the
+     * store. Safe to skip: workers then take shells from the store's
+     * pool, or allocate.
      */
     void recycle(std::unique_ptr<MiniBatch> mb);
 

@@ -7,14 +7,24 @@ namespace presto {
 PartitionProducer::PartitionProducer(ThreadPool* decode_pool,
                                      IoRing* io_ring)
 {
-    reader_.setThreadPool(decode_pool);
-    if (io_ring != nullptr) {
-        async_ = std::make_unique<AsyncPartitionReader>(*io_ring);
-        async_->setDecodePool(decode_pool);
-    }
+    bind(decode_pool, io_ring);
 }
 
 PartitionProducer::~PartitionProducer() = default;
+
+void
+PartitionProducer::bind(ThreadPool* decode_pool, IoRing* io_ring)
+{
+    reader_.setThreadPool(decode_pool);
+    ring_ = io_ring;
+    if (io_ring == nullptr)
+        return;
+    if (async_ == nullptr)
+        async_ = std::make_unique<AsyncPartitionReader>(*io_ring);
+    else
+        async_->setRing(*io_ring);
+    async_->setDecodePool(decode_pool);
+}
 
 Status
 PartitionProducer::produce(PartitionStore& store, uint64_t partition_id,
@@ -38,7 +48,7 @@ Status
 PartitionProducer::readOnce(PartitionStore& store, uint64_t partition_id,
                             uint64_t attempt, RowBatch& out)
 {
-    if (async_ == nullptr) {
+    if (ring_ == nullptr) {
         auto encoded =
             store.fetchShared(partition_id, attempt, &stats_.hot_tier_hit);
         if (!encoded.ok())

@@ -25,6 +25,7 @@
 #include <memory>
 
 #include "columnar/columnar_file.h"
+#include "common/batch_arena.h"
 #include "common/status.h"
 #include "core/partition_store.h"
 #include "tabular/row_batch.h"
@@ -70,6 +71,14 @@ class PartitionProducer
     ~PartitionProducer();
 
     /**
+     * Read through @p decode_pool and @p io_ring from now on (same
+     * meaning as the constructor's). Readers and decode buffers are
+     * kept, ring frame buffers included, so one producer can serve
+     * run after run whatever pool and ring each run brings.
+     */
+    void bind(ThreadPool* decode_pool, IoRing* io_ring);
+
+    /**
      * Fetch and decode @p partition_id of @p store into @p out,
      * reusing @p out's column storage.
      */
@@ -85,8 +94,23 @@ class PartitionProducer
                     uint64_t attempt, RowBatch& out);
 
     ColumnarFileReader reader_;
+    /** Kept across bind(nullptr) for its frame buffers; read through
+        only while ring_ is set. */
     std::unique_ptr<AsyncPartitionReader> async_;
+    IoRing* ring_ = nullptr;
     ProduceStats stats_;
+};
+
+/**
+ * One preprocessing worker's reusable state, from Extract to Transform:
+ * its producer (readers, decode scratch, ring frame buffers), the
+ * RowBatch it decodes into, and its Transform arena. Lent out by a
+ * ShellPool (core/shell_pool.h).
+ */
+struct WorkerShell {
+    PartitionProducer producer;
+    RowBatch batch;
+    BatchArena arena;
 };
 
 }  // namespace presto

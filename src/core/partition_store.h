@@ -33,6 +33,7 @@
 
 #include "columnar/columnar_file.h"
 #include "common/fault_injector.h"
+#include "core/shell_pool.h"
 #include "datagen/generator.h"
 #include "store/segment_store.h"
 
@@ -196,6 +197,18 @@ class PartitionStore
     const RawDataGenerator& generator() const { return generator_; }
 
     /**
+     * Preprocessing shells that outlive any one run over this store:
+     * worker shells (producer, decode RowBatch, BatchArena) and
+     * MiniBatch tensors. Every PreprocessManager borrows its workers'
+     * shells here and gives them back, with its undelivered batches,
+     * when it is destroyed. The store outlives its managers, so the
+     * next epoch starts with warm buffers. Retention is bounded by the
+     * most shells the managers held at one time (see
+     * core/shell_pool.h); they are freed with the store.
+     */
+    ShellPool& shells() { return shells_; }
+
+    /**
      * Persistence mode: back this store with an on-disk SegmentStore
      * (not owned; must outlive this object; nullptr disables). Once
      * enabled, persistPartition() commits partitions as durable
@@ -286,6 +299,7 @@ class PartitionStore
     uint64_t cold_fetches_ = 0;
     uint64_t disk_reads_ = 0;
     std::set<uint64_t> retired_;  ///< retired partition ids
+    ShellPool shells_;  ///< own lock, independent of mu_
 };
 
 }  // namespace presto

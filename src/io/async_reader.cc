@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/batch_arena.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 
@@ -10,7 +11,7 @@ namespace presto {
 
 AsyncPartitionReader::AsyncPartitionReader(IoRing& ring,
                                            AsyncReadOptions options)
-    : ring_(ring), consumer_(ring.registerConsumer()), options_(options)
+    : ring_(&ring), consumer_(ring.registerConsumer()), options_(options)
 {
     PRESTO_CHECK(options_.queue_depth > 0, "queue depth must be positive");
     PRESTO_CHECK(options_.max_page_attempts > 0,
@@ -19,6 +20,13 @@ AsyncPartitionReader::AsyncPartitionReader(IoRing& ring,
     // completed frames waiting for decode, so reaping a completion
     // never has to stall on a decode before the window can refill.
     slots_.resize(2 * options_.queue_depth - 1);
+}
+
+void
+AsyncPartitionReader::setRing(IoRing& ring)
+{
+    ring_ = &ring;
+    consumer_ = ring.registerConsumer();
 }
 
 Status
@@ -37,7 +45,6 @@ AsyncPartitionReader::submitPage(std::span<const uint8_t> file, int fd,
     const PageReadPlan& plan = plans_[plan_index];
     slot.plan = plan_index;
     slot.attempt = attempt;
-    slot.buf.resize(plan.frame_bytes);
 
     IoRequest req;
     if (fd >= 0) {
@@ -57,13 +64,13 @@ AsyncPartitionReader::submitPage(std::span<const uint8_t> file, int fd,
       case ChannelPlacement::kAddress:
         req.channel = static_cast<int32_t>(
             (plan.offset / std::max<uint64_t>(1, options_.address_stripe_bytes)) %
-            static_cast<uint64_t>(ring_.options().workers));
+            static_cast<uint64_t>(ring_->options().workers));
         break;
       case ChannelPlacement::kHeat:
         req.channel = plan.channel;
         break;
     }
-    ring_.submit(consumer_, req);
+    ring_->submit(consumer_, req);
     return Status::okStatus();
 }
 
@@ -73,7 +80,8 @@ AsyncPartitionReader::decodeSlot(size_t slot_index, RowBatch* out)
     Slot& slot = slots_[slot_index];
     const PageReadPlan& plan = plans_[slot.plan];
     Status st = reader_.completePage(
-        plan, {slot.buf.data(), plan.frame_bytes}, *out);
+        plan, {slot.buf.data(), plan.frame_bytes}, *out,
+        pool_ == nullptr ? &scratch_ : nullptr);
 
     std::lock_guard<std::mutex> lock(mu_);
     free_slots_.push_back(slot_index);
@@ -100,7 +108,7 @@ AsyncPartitionReader::read(std::span<const uint8_t> file,
     PRESTO_RETURN_IF_ERROR(reader_.open(file));
     PRESTO_RETURN_IF_ERROR(reader_.planPageReads(plans_));
     if (options_.placement == ChannelPlacement::kHeat)
-        assignChannelPlacement(reader_.footer(), ring_.options().workers,
+        assignChannelPlacement(reader_.footer(), ring_->options().workers,
                                plans_);
     PRESTO_RETURN_IF_ERROR(reader_.beginReadInto(out));
     return runRead(file, /*fd=*/-1, partition_id, out);
@@ -120,7 +128,7 @@ AsyncPartitionReader::readFile(const FileReadSource& src,
     // Journal plans never carry placement; re-derive it from the
     // footer's heat metadata at read time.
     if (options_.placement == ChannelPlacement::kHeat)
-        assignChannelPlacement(reader_.footer(), ring_.options().workers,
+        assignChannelPlacement(reader_.footer(), ring_->options().workers,
                                plans_);
     PRESTO_RETURN_IF_ERROR(reader_.beginReadInto(out));
     return runRead({}, src.fd, partition_id, out);
@@ -141,6 +149,15 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
         remaining_ = plans_.size();
         decodes_pending_ = 0;
         error_ = Status::okStatus();
+    }
+    // Every slot holds this file's largest frame (with headroom), so a
+    // reader serving file after file soon stops growing them.
+    uint32_t max_frame = 0;
+    for (const PageReadPlan& plan : plans_)
+        max_frame = std::max(max_frame, plan.frame_bytes);
+    for (Slot& slot : slots_) {
+        if (slot.buf.size() < max_frame)
+            resizeReused(slot.buf, max_frame);
     }
 
     // Submission order. With channel hints (kHeat placement), submit
@@ -250,7 +267,7 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
         // channels keep working underneath the decode.
         if (ring_outstanding > 0) {
             reaped.clear();
-            ring_outstanding -= ring_.reapCompletions(consumer_, reaped);
+            ring_outstanding -= ring_->reapCompletions(consumer_, reaped);
             if (!reaped.empty()) {
                 for (IoCompletion& c : reaped)
                     handleCompletion(c);
@@ -284,7 +301,7 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
             }
         }
 
-        IoCompletion c = ring_.waitCompletion(consumer_);
+        IoCompletion c = ring_->waitCompletion(consumer_);
         --ring_outstanding;
         handleCompletion(c);
     }
@@ -292,7 +309,7 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
     // Unwind before returning on failure: in-flight requests still
     // target slot buffers, and pool tasks still touch this reader.
     while (ring_outstanding > 0) {
-        IoCompletion c = ring_.waitCompletion(consumer_);
+        IoCompletion c = ring_->waitCompletion(consumer_);
         --ring_outstanding;
         stats_.device_retries += c.retries;
         stats_.modeled_storage_sec += c.latency_sec;

@@ -89,6 +89,14 @@ class AsyncPartitionReader
     explicit AsyncPartitionReader(IoRing& ring,
                                   AsyncReadOptions options = {});
 
+    /**
+     * Read through @p ring from now on, as a newly registered consumer.
+     * The frame buffers and decode scratch are kept, so a reader can
+     * outlive the ring it was built on and serve another one; it must
+     * not read again until it is given a live ring.
+     */
+    void setRing(IoRing& ring);
+
     /** Decode completed pages on @p pool (nullptr = calling thread). */
     void setDecodePool(ThreadPool* pool) { pool_ = pool; }
 
@@ -147,11 +155,12 @@ class AsyncPartitionReader
                       uint32_t attempt);
     void decodeSlot(size_t slot_index, RowBatch* out);
 
-    IoRing& ring_;
+    IoRing* ring_;
     uint32_t consumer_;
     AsyncReadOptions options_;
     ThreadPool* pool_ = nullptr;
     ColumnarFileReader reader_;
+    PageScratch scratch_;  ///< decode scratch when pages decode inline
     std::vector<PageReadPlan> plans_;
     std::vector<Slot> slots_;
     AsyncReadStats stats_;

@@ -456,7 +456,7 @@ CompiledProgram::runSparse(const CompiledOutput& out, const RowBatch& raw,
     if (out.prefix_cap == SIZE_MAX) {
         for (size_t r = 0; r < batch; ++r)
             jag.lengths[r] = static_cast<uint32_t>(col.rowLength(r));
-        jag.values.resize(col.numValues());
+        resizeReused(jag.values, col.numValues());
         src = col.values().data();
     } else {
         // Apply the folded FirstX cap while packing the surviving ids.
@@ -466,7 +466,7 @@ CompiledProgram::runSparse(const CompiledOutput& out, const RowBatch& raw,
             jag.lengths[r] = static_cast<uint32_t>(len);
             total += len;
         }
-        jag.values.resize(total);
+        resizeReused(jag.values, total);
         size_t w = 0;
         for (size_t r = 0; r < batch; ++r) {
             const auto row = col.row(r);

@@ -24,7 +24,11 @@ struct IngestService::Session {
     std::unique_ptr<PlanExecutor> executor;
     double service_sec_estimate = 0;
 
-    std::deque<DeliveredBatch> queue;
+    /** Output queue: a ring of spec.queue_capacity slots, so steady
+        delivery allocates nothing. */
+    std::vector<DeliveredBatch> ring;
+    size_t head = 0;    ///< oldest queued slot
+    size_t queued = 0;  ///< batches in the ring
     std::condition_variable queue_cv;  ///< consumers: batch or closure
     bool in_flight = false;            ///< a worker is producing for us
     bool closing = false;
@@ -41,7 +45,23 @@ struct IngestService::Session {
     eligible() const
     {
         return !closing && error.ok() && !in_flight &&
-               queue.size() < spec.queue_capacity;
+               queued < spec.queue_capacity;
+    }
+
+    void
+    push(DeliveredBatch batch)
+    {
+        ring[(head + queued) % ring.size()] = std::move(batch);
+        ++queued;
+    }
+
+    DeliveredBatch
+    pop()
+    {
+        DeliveredBatch batch = std::move(ring[head]);
+        head = (head + 1) % ring.size();
+        --queued;
+        return batch;
     }
 
     SessionStats
@@ -156,6 +176,7 @@ IngestService::openSession(const TenantSpec& spec)
 
     auto session = std::make_shared<Session>();
     session->spec = spec;
+    session->ring.resize(spec.queue_capacity);
     session->reader = *reader;
     session->service_sec_estimate =
         estimateServiceSec(reader->config());
@@ -181,6 +202,7 @@ IngestService::openSession(const TenantSpec& spec)
     session->id = next_session_id_++;
     sessions_.emplace(session->id, session);
     wfq_.join(session->id, spec.weight);
+    batches_.setBatchCap(batchCapLocked());
     work_cv_.notify_all();
     return session->id;
 }
@@ -227,7 +249,7 @@ IngestService::workerLoop()
         out.partition_index = index;
         Status st = pick->reader.produce(producer, index, raw);
         if (st.ok()) {
-            out.batch = std::make_unique<MiniBatch>();
+            out.batch = batches_.takeBatch();
             pick->executor->runInto(raw, *out.batch, arena);
         }
 
@@ -242,9 +264,9 @@ IngestService::workerLoop()
         }
         if (st.ok() && !pick->closing) {
             out.sequence = pick->produced++;
-            pick->queue.push_back(std::move(out));
+            pick->push(std::move(out));
             pick->max_queue_occupancy =
-                std::max(pick->max_queue_occupancy, pick->queue.size());
+                std::max(pick->max_queue_occupancy, pick->queued);
         }
         pick->queue_cv.notify_all();
         // The session may still be eligible (queue not full) and other
@@ -261,20 +283,19 @@ IngestService::nextBatch(uint64_t session_id)
         return found.status();
     std::shared_ptr<Session> session = *std::move(found);
     session->queue_cv.wait(lock, [&] {
-        return !session->queue.empty() || session->closing || stopping_ ||
+        return session->queued > 0 || session->closing || stopping_ ||
                !session->error.ok();
     });
-    if (!session->queue.empty()) {
+    if (session->queued > 0) {
         // A full queue with nothing in flight is an idle session: its
         // trainer, not the workers, held it back. Freeing a slot
         // re-bases it, so it takes no catch-up burst. (A closing
         // session may already have left the scheduler.)
-        if (session->queue.size() == session->spec.queue_capacity &&
+        if (session->queued == session->spec.queue_capacity &&
             !session->in_flight && !session->closing) {
             wfq_.wake(session_id);
         }
-        DeliveredBatch batch = std::move(session->queue.front());
-        session->queue.pop_front();
+        DeliveredBatch batch = session->pop();
         ++session->delivered;
         work_cv_.notify_all();  // queue space: session eligible again
         return batch;
@@ -299,10 +320,28 @@ IngestService::closeSession(uint64_t session_id)
     // session the map no longer owns. (The shared_ptr would keep it
     // alive regardless; this keeps shutdown deterministic.)
     session->queue_cv.wait(lock, [&] { return !session->in_flight; });
-    if (sessions_.erase(session_id) == 1)  // racing closes erase once
+    if (sessions_.erase(session_id) == 1) {  // racing closes erase once
         wfq_.leave(session_id);
+        batches_.setBatchCap(batchCapLocked());
+    }
     work_cv_.notify_all();
     return Status::okStatus();
+}
+
+void
+IngestService::recycle(std::unique_ptr<MiniBatch> batch)
+{
+    batches_.giveBatch(std::move(batch));
+}
+
+size_t
+IngestService::batchCapLocked() const
+{
+    // Every slot of every open queue, plus one production per worker.
+    size_t cap = static_cast<size_t>(options_.workers);
+    for (const auto& [id, session] : sessions_)
+        cap += session->spec.queue_capacity;
+    return cap;
 }
 
 StatusOr<SessionStats>

@@ -40,7 +40,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -50,6 +49,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/shell_pool.h"
 #include "ops/plan.h"
 #include "service/admission.h"
 #include "service/dataset_catalog.h"
@@ -151,6 +151,16 @@ class IngestService
     /** Stop production, unblock consumers, and drop the session. */
     Status closeSession(uint64_t session_id);
 
+    /**
+     * Hand a delivered batch's tensors back for a later production (of
+     * any session), so a trainer that recycles every batch streams
+     * with no allocation once warm. Optional: a batch never returned
+     * is simply the caller's. The service keeps at most one idle batch
+     * per queue slot of the open sessions plus one per worker; beyond
+     * that a returned batch is freed.
+     */
+    void recycle(std::unique_ptr<MiniBatch> batch);
+
     /** Snapshot of one session's counters. */
     StatusOr<SessionStats> sessionStats(uint64_t session_id) const;
 
@@ -173,6 +183,9 @@ class IngestService
                                   double service_sec) const;
     /** The open session @p session_id, or kNotFound; mu_ held. */
     StatusOr<std::shared_ptr<Session>> findLocked(uint64_t session_id) const;
+    /** Idle-batch cap of batches_: workers plus every open session's
+        queue_capacity; mu_ held. */
+    size_t batchCapLocked() const;
 
     DatasetCatalog& catalog_;
     ServiceOptions options_;
@@ -181,6 +194,10 @@ class IngestService
     std::condition_variable work_cv_;  ///< workers: eligibility changed
     std::map<uint64_t, std::shared_ptr<Session>> sessions_;
     WfqScheduler wfq_;  ///< one flow per open session, keyed by id
+    /** MiniBatch shells trainers recycled; own lock, taken after mu_
+        or alone. Only its batch half is used: worker buffers live as
+        long as the workers. */
+    ShellPool batches_;
     uint64_t next_session_id_ = 1;
     bool stopping_ = false;
     std::vector<std::thread> workers_;

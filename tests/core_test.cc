@@ -5,18 +5,24 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "common/crc32.h"
+#include "common/rng.h"
 #include "core/data_loader.h"
 #include "core/fleet.h"
 #include "core/managers.h"
 #include "core/partition_store.h"
 #include "core/provisioner.h"
 #include "core/training_pipeline.h"
+#include "io/io_ring.h"
 #include "models/calibration.h"
 
 namespace presto {
@@ -318,6 +324,152 @@ TEST(ManagersTest, StressManyBatchesSmallQueue)
     EXPECT_EQ(delivered, 24u);
     EXPECT_EQ(manager.stats().batches_delivered, 24u);
     EXPECT_EQ(store.materializedCount(), 24u);
+}
+
+// --- Shells reused through the store's pool -------------------------------
+
+/** Digest of every byte and extent of a MiniBatch. */
+uint64_t
+fullDigest(const MiniBatch& mb)
+{
+    uint64_t h = mix64(mb.batch_size ^ (mb.num_dense << 32));
+    const auto fold = [&h](const void* data, size_t bytes) {
+        h = mix64(h ^ crc32c(data, bytes) ^ (uint64_t{bytes} << 32));
+    };
+    fold(mb.dense.data(), mb.dense.size() * sizeof(float));
+    fold(mb.labels.data(), mb.labels.size() * sizeof(float));
+    for (const JaggedIndices& jag : mb.sparse) {
+        fold(jag.feature_name.data(), jag.feature_name.size());
+        fold(jag.values.data(), jag.values.size() * sizeof(int64_t));
+        fold(jag.lengths.data(), jag.lengths.size() * sizeof(uint32_t));
+    }
+    return h;
+}
+
+/** One manager shape: its config (and so its TransformPlan), workers,
+    queue bound, and whether it Extracts through a ring of its own. */
+struct ManagerShape {
+    RmConfig config;
+    int workers = 1;
+    size_t queue = 4;
+    bool ring = false;
+};
+
+/** Sorted digests of one full epoch of @p partitions (delivery order
+    varies with the workers; content must not). Recycles every batch. */
+std::vector<uint64_t>
+epochDigests(const ManagerShape& shape, PartitionStore& store,
+             size_t partitions)
+{
+    std::optional<IoRing> ring;
+    if (shape.ring)
+        ring.emplace();
+    PreprocessManager manager(shape.config, store, PreprocessMode::kPreSto,
+                              shape.workers, shape.queue, nullptr,
+                              ring ? &*ring : nullptr);
+    manager.start(partitions);
+    std::vector<uint64_t> digests;
+    while (auto mb = manager.nextBatch()) {
+        EXPECT_TRUE(mb->consistent());
+        digests.push_back(fullDigest(*mb));
+        manager.recycle(std::move(mb));
+    }
+    std::sort(digests.begin(), digests.end());
+    return digests;
+}
+
+/** Shapes over tinyConfig()'s store whose plans differ in outputs,
+    bucket boundaries and hash table sizes. */
+std::vector<ManagerShape>
+reuseShapes()
+{
+    const RmConfig base = tinyConfig();
+    RmConfig no_generated = base;
+    no_generated.num_generated = 0;
+    RmConfig wide = base;
+    wide.num_generated = base.num_dense;
+    wide.bucket_size = 64;
+    wide.avg_embeddings = 1000;
+    return {
+        {base, 2, 2, false},
+        {no_generated, 1, 4, false},
+        {wide, 3, 1, true},
+        {base, 2, 8, true},
+    };
+}
+
+TEST(ManagersTest, ReusedShellsDeliverWhatAFreshStoreDelivers)
+{
+    // Managers with different plans, worker counts and I/O paths take
+    // turns over one store, each inheriting the decode batches, arenas
+    // and MiniBatches its predecessors left in the store's pool; one is
+    // destroyed mid-epoch with batches still queued. Every epoch must
+    // equal the same manager's epoch over a fresh store.
+    const RmConfig cfg = tinyConfig();
+    RawDataGenerator gen(cfg);
+    constexpr size_t kPartitions = 6;
+    const std::vector<ManagerShape> shapes = reuseShapes();
+
+    PartitionStore shared(gen);
+    for (int round = 0; round < 2; ++round) {
+        for (const ManagerShape& shape : shapes) {
+            PartitionStore fresh(gen);
+            EXPECT_EQ(epochDigests(shape, shared, kPartitions),
+                      epochDigests(shape, fresh, kPartitions))
+                << "round " << round << ", " << shape.workers
+                << " workers";
+        }
+        // Abandon an epoch: take one batch, let the workers fill the
+        // queue behind it, destroy the manager.
+        PreprocessManager quitter(shapes[2].config, shared,
+                                  PreprocessMode::kPreSto, 2, 3);
+        quitter.start(kPartitions);
+        auto first = quitter.nextBatch();
+        ASSERT_NE(first, nullptr);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        quitter.recycle(std::move(first));
+    }
+    EXPECT_GT(shared.shells().idleBatches(), 0u);
+    EXPECT_GT(shared.shells().idleWorkers(), 0u);
+}
+
+TEST(ManagersTest, ConcurrentManagersShareTheStorePool)
+{
+    // Two managers with different plans run epochs side by side over
+    // one store, both borrowing from and returning to its pool.
+    const RmConfig cfg = tinyConfig();
+    RawDataGenerator gen(cfg);
+    constexpr size_t kPartitions = 5;
+    const std::vector<ManagerShape> shapes = reuseShapes();
+    const ManagerShape& a = shapes[1];
+    const ManagerShape& b = shapes[2];
+    std::vector<uint64_t> want_a;
+    std::vector<uint64_t> want_b;
+    {
+        PartitionStore fresh_a(gen);
+        PartitionStore fresh_b(gen);
+        want_a = epochDigests(a, fresh_a, kPartitions);
+        want_b = epochDigests(b, fresh_b, kPartitions);
+    }
+
+    PartitionStore shared(gen);
+    std::atomic<int> mismatches{0};
+    const auto run = [&](const ManagerShape& shape,
+                         const std::vector<uint64_t>& want) {
+        for (int epoch = 0; epoch < 4; ++epoch) {
+            if (epochDigests(shape, shared, kPartitions) != want)
+                ++mismatches;
+        }
+    };
+    std::thread ta(run, std::cref(a), std::cref(want_a));
+    std::thread tb(run, std::cref(b), std::cref(want_b));
+    ta.join();
+    tb.join();
+    EXPECT_EQ(mismatches.load(), 0);
+    // Each manager returns what it borrowed: the pool holds no more
+    // worker shells than both managers' workers together.
+    EXPECT_LE(shared.shells().idleWorkers(),
+              static_cast<size_t>(a.workers + b.workers));
 }
 
 class PipelinePerRm : public ::testing::TestWithParam<int>

@@ -12,11 +12,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <new>
 #include <random>
 #include <ranges>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "core/partition_producer.h"
 #include "core/partition_store.h"
 #include "datagen/generator.h"
+#include "io/io_ring.h"
 #include "ops/fast_math.h"
 #include "ops/fast_ops.h"
 #include "ops/hash.h"
@@ -38,20 +41,28 @@
 #include "ops/plan.h"
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
+#include "service/ingest_service.h"
+#include "store/segment_store.h"
+
+#include <sys/resource.h>
 
 // --- Global allocation-counting hook --------------------------------------
 // Replaces the global allocation functions for this test binary; counting
 // is off unless a test arms it, so gtest's own allocations don't count.
+// It counts calls and sums the bytes requested.
 
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<size_t> g_alloc_count{0};
+std::atomic<size_t> g_alloc_bytes{0};
 
 void*
 countedAlloc(std::size_t size)
 {
-    if (g_count_allocs.load(std::memory_order_relaxed))
+    if (g_count_allocs.load(std::memory_order_relaxed)) {
         g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+        g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+    }
     void* p = std::malloc(size ? size : 1);
     if (p == nullptr)
         throw std::bad_alloc();
@@ -612,6 +623,192 @@ TEST(ZeroAllocTest, SteadyStateIspEmulatorLoopDoesNotAllocate)
     EXPECT_EQ(g_alloc_count.load(), 0u)
         << "steady-state ISP emulator loop heap-allocated";
     EXPECT_EQ(batchChecksum(mb), want);
+}
+
+/** Heap bytes and minor page faults of one epoch. */
+struct EpochCost {
+    size_t bytes = 0;
+    long minor_faults = 0;
+};
+
+long
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+/**
+ * One whole epoch over @p store through a PreprocessManager shaped like
+ * the benchmark's (3 workers, queue of 8), construction to destruction.
+ * The trainer holds every batch until the epoch ends, then recycles
+ * them all: each epoch then has the same peak live set (one MiniBatch
+ * per partition) whatever the thread timing.
+ */
+EpochCost
+runEpoch(const RmConfig& cfg, PartitionStore& store, size_t partitions,
+         IoRing* ring, uint64_t& checksum)
+{
+    EpochCost cost;
+    checksum = 0;
+    std::vector<std::unique_ptr<MiniBatch>> held;
+    held.reserve(partitions);
+    const long faults = minorFaults();
+    g_alloc_bytes.store(0);
+    g_count_allocs.store(true);
+    {
+        PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 3, 8,
+                                  nullptr, ring);
+        manager.start(partitions);
+        while (auto mb = manager.nextBatch()) {
+            checksum ^= batchChecksum(*mb);
+            held.push_back(std::move(mb));
+        }
+        for (auto& mb : held)
+            manager.recycle(std::move(mb));
+    }
+    g_count_allocs.store(false);
+    cost.bytes = g_alloc_bytes.load();
+    cost.minor_faults = minorFaults() - faults;
+    return cost;
+}
+
+TEST(ZeroAllocTest, SecondEpochOverAStoreReusesItsShells)
+{
+    // The blocking path on the benchmark's RM5 shape (plain pages, 1024
+    // rows, ~9.6 MB per MiniBatch). The first manager sizes the decode
+    // batches, arenas and MiniBatches and leaves them in the store's
+    // pool; the second epoch must reuse them, not re-acquire them.
+    RmConfig cfg = rmConfig(5);
+    cfg.batch_size = 1024;
+    RawDataGenerator gen(cfg);
+    WriterOptions plain;
+    plain.codec = PageCodec::kNone;
+    PartitionStore store(gen, plain);
+    constexpr size_t kPartitions = 6;
+    for (uint64_t pid = 0; pid < kPartitions; ++pid)
+        store.partitionBytes(pid);  // materialize outside the epochs
+
+    uint64_t first_sum = 0;
+    uint64_t second_sum = 0;
+    const EpochCost first =
+        runEpoch(cfg, store, kPartitions, nullptr, first_sum);
+    const EpochCost second =
+        runEpoch(cfg, store, kPartitions, nullptr, second_sum);
+    EXPECT_EQ(second_sum, first_sum);
+    EXPECT_GT(first.bytes, kPartitions * 1024 * cfg.num_dense * 4)
+        << "the first epoch should size at least the dense tensors";
+    EXPECT_LT(second.bytes * 20, first.bytes)
+        << "second epoch allocated " << second.bytes << " of the first's "
+        << first.bytes << " bytes";
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    // Sanitizer allocators map and poison memory their own way; the
+    // fault count is a property of the plain allocator.
+    EXPECT_LT(second.minor_faults, 1000)
+        << "first epoch " << first.minor_faults << " faults";
+#endif
+}
+
+TEST(ZeroAllocTest, SecondRingEpochOverAStoreReusesItsShells)
+{
+    // The ring path on RM1 with the full codec menu: every page is
+    // pread from a segment through the IoRing, as in the cold-ring
+    // benchmark workload.
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 4096;
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    const std::string dir = ::testing::TempDir() + "hotpath_ring_epochs";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SegmentStoreOptions so;
+    so.directory = dir;
+    auto segments = SegmentStore::open(so);
+    ASSERT_TRUE(segments.ok()) << segments.status().message();
+    store.enablePersistence(segments->get());
+    constexpr size_t kPartitions = 6;
+    for (uint64_t pid = 0; pid < kPartitions; ++pid)
+        ASSERT_TRUE(store.persistPartition(pid).ok());
+    IoRingOptions ro;
+    ro.workers = 2;
+    IoRing ring(ro);
+
+    uint64_t first_sum = 0;
+    uint64_t second_sum = 0;
+    const EpochCost first =
+        runEpoch(cfg, store, kPartitions, &ring, first_sum);
+    const EpochCost second =
+        runEpoch(cfg, store, kPartitions, &ring, second_sum);
+    EXPECT_EQ(second_sum, first_sum);
+    EXPECT_LT(second.bytes * 20, first.bytes)
+        << "second epoch allocated " << second.bytes << " of the first's "
+        << first.bytes << " bytes";
+}
+
+TEST(ZeroAllocTest, RecyclingServiceSessionDoesNotAllocate)
+{
+    // A trainer that hands every batch back through recycle(): once the
+    // service's pool holds a batch per queue slot and worker, fetch,
+    // decode, transform and delivery of a session allocate nothing.
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 512;
+    DatasetCatalog catalog;
+    DatasetSpec spec;
+    spec.name = "zero";
+    spec.config = cfg;
+    spec.partitions_per_epoch = 4;
+    ASSERT_TRUE(catalog.registerDataset(spec).ok());
+    ASSERT_TRUE(catalog.publishEpoch("zero").ok());
+    // One worker: every worker keeps its own decode buffers, so with
+    // more, one that sat out the warm-up would size them in the
+    // measured loop.
+    ServiceOptions options;
+    options.workers = 1;
+    IngestService service(catalog, options);
+    TenantSpec tenant;
+    tenant.name = "trainer";
+    tenant.dataset = "zero";
+    tenant.queue_capacity = 3;
+    auto session = service.openSession(tenant);
+    ASSERT_TRUE(session.ok()) << session.status().message();
+
+    // Warm-up. Queued plus in-flight batches never exceed the queue
+    // capacity, so at most capacity + 1 batches are live, counting the
+    // one the trainer holds. Hold one until the queue is full, so the
+    // pool has held that many; then several passes over the epoch
+    // size every buffer.
+    auto held = service.nextBatch(*session);
+    ASSERT_TRUE(held.ok()) << held.status().message();
+    for (;;) {
+        auto stats = service.sessionStats(*session);
+        ASSERT_TRUE(stats.ok());
+        if (stats->produced - stats->delivered == tenant.queue_capacity)
+            break;
+        std::this_thread::yield();
+    }
+    service.recycle(std::move(held->batch));
+    for (int i = 0; i < 24; ++i) {
+        auto got = service.nextBatch(*session);
+        ASSERT_TRUE(got.ok()) << got.status().message();
+        service.recycle(std::move(got->batch));
+    }
+
+    bool all_ok = true;
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    for (int i = 0; i < 16; ++i) {
+        auto got = service.nextBatch(*session);
+        all_ok = all_ok && got.ok() && got->batch->consistent();
+        if (got.ok())
+            service.recycle(std::move(got->batch));
+    }
+    g_count_allocs.store(false);
+
+    ASSERT_TRUE(all_ok);
+    EXPECT_EQ(g_alloc_count.load(), 0u)
+        << "recycling service session heap-allocated";
+    EXPECT_TRUE(service.closeSession(*session).ok());
 }
 
 TEST(ParallelForTest, SkewedWorkStillRunsEveryIndexExactlyOnce)
