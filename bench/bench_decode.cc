@@ -557,10 +557,10 @@ runEntropyPages(const BenchConfig& bc, bool quick)
                 "\"rows_per_sec\": %.4e, \"decode_slowdown_vs_lz\": "
                 "%.3f}\n"
                 "    },\n"
+                "    \"absolute_gates_enforced\": %s,\n"
                 "    \"gates\": {\"full_menu_lt_lz_bytes\": true, "
                 "\"stored_ratio_bound\": 0.815, "
-                "\"huff_decode_gb_per_sec_min\": 1.0, "
-                "\"absolute_gates_enforced\": %s}\n"
+                "\"huff_decode_gb_per_sec_min\": 1.0}\n"
                 "  },\n",
                 batch.numRows(), without.size(), with_lz.size(),
                 with_full.size(), ratio_lz, ratio_full, lz_secs,

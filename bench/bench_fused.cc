@@ -19,8 +19,8 @@
  * best SIMD level, or the run exits nonzero.
  *
  * Usage: bench_fused [--quick]   (--quick shrinks sizes/reps for the
- * ctest "perf" smoke label; differential checks still run, the speedup
- * gate is not enforced.)
+ * ctest "perf" smoke label; differential checks still run, and the
+ * speedup_ok verdict is reported but not enforced.)
  */
 #include <chrono>
 #include <cstdint>
@@ -330,11 +330,18 @@ main(int argc, char** argv)
     runChains(bc);
     double fused_values_per_sec = 0.0;
     const double speedup = runEndToEnd(bc, &fused_values_per_sec);
-    std::printf("  \"gate\": {\"required_speedup\": %.2f, "
-                "\"measured_speedup\": %.3f, \"enforced\": %s}\n"
+    // The run mode and the measured speedup sit next to the gate, not
+    // in it: a gate subtree holds only thresholds and verdicts, which
+    // must not drift between --quick and full runs.
+    const bool speedup_ok = speedup >= kRequiredSpeedup;
+    std::printf("  \"measured_speedup\": %.3f,\n"
+                "  \"gate_enforced\": %s,\n"
+                "  \"gate\": {\"required_speedup\": %.2f, "
+                "\"speedup_ok\": %s}\n"
                 "}\n",
-                kRequiredSpeedup, speedup, quick ? "false" : "true");
-    if (!quick && speedup < kRequiredSpeedup) {
+                speedup, quick ? "false" : "true", kRequiredSpeedup,
+                speedup_ok ? "true" : "false");
+    if (!quick && !speedup_ok) {
         std::fprintf(stderr,
                      "FATAL: fused end-to-end speedup %.3fx is below the "
                      "%.2fx gate\n",

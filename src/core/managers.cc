@@ -7,7 +7,6 @@
 #include "common/crc32.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "core/partition_producer.h"
 #include "models/cpu_model.h"
 #include "models/gpu_model.h"
 #include "models/isp_model.h"
@@ -20,140 +19,63 @@ PreprocessManager::PreprocessManager(const RmConfig& config,
                                      size_t queue_capacity,
                                      ThreadPool* decode_pool,
                                      IoRing* io_ring)
-    : config_(config), store_(store), mode_(mode), preprocessor_(config),
-      queue_capacity_(queue_capacity), num_workers_(num_workers),
-      decode_pool_(decode_pool), io_ring_(io_ring)
+    : store_(store), mode_(mode),
+      engine_(store.shells(), num_workers, decode_pool, io_ring),
+      // Extract: partition n from the (local) SSD. In Disagg mode the
+      // encoded bytes crossed the datacenter network first; in PreSto
+      // mode they moved SSD->FPGA over the device-internal P2P path.
+      flow_spec_{.queue_capacity = queue_capacity,
+                 .locate = [&store](uint64_t seq) -> StatusOr<PartitionRef> {
+                     return PartitionRef{&store, seq};
+                 },
+                 .program = CompiledProgram::compile(
+                     TransformPlan::standard(config),
+                     Schema::makeRecSys(config.num_dense, config.num_sparse))}
 {
-    PRESTO_CHECK(num_workers_ >= 1, "need at least one worker");
-    PRESTO_CHECK(queue_capacity_ >= 1, "queue capacity must be positive");
+    PRESTO_CHECK(queue_capacity >= 1, "queue capacity must be positive");
 }
 
-PreprocessManager::~PreprocessManager()
-{
-    {
-        std::unique_lock lock(mu_);
-        stopping_ = true;
-    }
-    queue_not_full_.notify_all();
-    queue_not_empty_.notify_all();
-    for (auto& w : workers_)
-        w.join();
-    // Undelivered and recycled batches outlive this manager in the
-    // store's pool, so the next run over the store starts warm.
-    for (auto& mb : free_batches_)
-        store_.shells().giveBatch(std::move(mb));
-    for (auto& mb : queue_)
-        store_.shells().giveBatch(std::move(mb));
-}
+PreprocessManager::~PreprocessManager() = default;
 
 void
 PreprocessManager::start(size_t total_batches)
 {
-    PRESTO_CHECK(workers_.empty(), "manager already started");
-    total_batches_ = total_batches;
-    workers_.reserve(num_workers_);
-    for (int w = 0; w < num_workers_; ++w)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-bool
-PreprocessManager::claimPartition(uint64_t& id)
-{
-    std::unique_lock lock(mu_);
-    if (next_partition_ >= total_batches_ || stopping_)
-        return false;
-    id = next_partition_++;
-    return true;
-}
-
-void
-PreprocessManager::workerLoop()
-{
-    // Run to completion: each worker takes its partition from Extract
-    // to a delivered MiniBatch, reusing its producer, decode batch and
-    // arena across partitions. They are borrowed from the store's pool
-    // for the worker's life, so they outlive this manager too.
-    std::unique_ptr<WorkerShell> shell = store_.shells().takeWorker();
-    PartitionProducer& producer = shell->producer;
-    producer.bind(decode_pool_, io_ring_);
-    uint64_t pid = 0;
-    while (claimPartition(pid)) {
-        // Extract: fetch the encoded partition from the (local) SSD and
-        // decode it. In Disagg mode the encoded bytes crossed the
-        // datacenter network first; in PreSto mode they moved
-        // SSD->FPGA over the device-internal P2P path.
-        const Status st = producer.produce(store_, pid, shell->batch);
-        PRESTO_CHECK(st.ok(), "partition ", pid, " unreadable: ",
-                     st.toString());
-        const ProduceStats& produced = producer.lastStats();
-
-        // Transform: the full operator pipeline, into a recycled batch,
-        // else a pooled one; a fresh one only when both are empty.
-        std::unique_ptr<MiniBatch> mb;
-        {
-            std::unique_lock lock(mu_);
-            if (!free_batches_.empty()) {
-                mb = std::move(free_batches_.back());
-                free_batches_.pop_back();
-            }
-        }
-        if (mb == nullptr)
-            mb = store_.shells().takeBatch();
-        preprocessor_.preprocessInto(shell->batch, *mb, shell->arena);
-        const uint64_t tensor_bytes = mb->byteSize();
-
-        std::unique_lock lock(mu_);
-        queue_not_full_.wait(lock, [this] {
-            return queue_.size() < queue_capacity_ || stopping_;
-        });
-        if (stopping_) {
-            free_batches_.push_back(std::move(mb));
-            break;
-        }
-        if (mode_ == PreprocessMode::kDisaggCpu) {
-            stats_.raw_bytes_over_network += produced.raw_bytes;
-        } else {
-            stats_.raw_bytes_p2p += produced.raw_bytes;
-        }
-        stats_.tensor_bytes_over_network += tensor_bytes;
-        stats_.columnar_bytes_touched += produced.bytes_touched;
-        stats_.transient_read_errors += produced.transient_errors;
-        stats_.corrupt_partition_refetches += produced.corrupt_refetches;
-        queue_.push_back(std::move(mb));
-        lock.unlock();
-        queue_not_empty_.notify_one();
-    }
-    producer.bind(nullptr, nullptr);  // the ring may go before the store
-    store_.shells().giveWorker(std::move(shell));
+    PRESTO_CHECK(flow_ == 0, "manager already started");
+    flow_spec_.limit = total_batches;
+    flow_ = engine_.open(std::move(flow_spec_));
 }
 
 void
 PreprocessManager::recycle(std::unique_ptr<MiniBatch> mb)
 {
-    if (mb == nullptr)
-        return;
-    std::unique_lock lock(mu_);
-    free_batches_.push_back(std::move(mb));
+    store_.shells().giveBatch(std::move(mb));
 }
 
 std::unique_ptr<MiniBatch>
 PreprocessManager::nextBatch()
 {
-    std::unique_lock lock(mu_);
-    if (delivered_ >= total_batches_)
+    if (flow_ == 0)
         return nullptr;
-    queue_not_empty_.wait(lock, [this] {
-        return !queue_.empty() || stopping_;
-    });
-    if (queue_.empty())
-        return nullptr;
-    auto mb = std::move(queue_.front());
-    queue_.pop_front();
-    ++delivered_;
-    ++stats_.batches_delivered;
-    lock.unlock();
-    queue_not_full_.notify_one();
-    return mb;
+    StatusOr<FlowBatch> got = engine_.next(flow_);
+    PRESTO_CHECK(got.ok(), "partition ", engine_.stats(flow_).delivered,
+                 " unreadable: ", got.status().toString());
+    return std::move(got->batch);
+}
+
+RunStats
+PreprocessManager::stats() const
+{
+    if (flow_ == 0)
+        return {};
+    const FlowStats fs = engine_.stats(flow_);
+    const bool disagg = mode_ == PreprocessMode::kDisaggCpu;
+    return RunStats{.batches_delivered = fs.delivered,
+                    .raw_bytes_over_network = disagg ? fs.raw_bytes : 0,
+                    .raw_bytes_p2p = disagg ? 0 : fs.raw_bytes,
+                    .tensor_bytes_over_network = fs.tensor_bytes,
+                    .columnar_bytes_touched = fs.bytes_touched,
+                    .transient_read_errors = fs.transient_errors,
+                    .corrupt_partition_refetches = fs.corrupt_refetches};
 }
 
 TrainManager::TrainManager(const RmConfig& config, PartitionStore& store,
@@ -175,13 +97,10 @@ TrainManager::train(size_t total_batches, int worker_override)
 {
     // T/P rule: workers = ceil(T / P).
     const double demand = measuredTrainingThroughput();
-    double per_worker = 0;
-    if (mode_ == PreprocessMode::kDisaggCpu) {
-        per_worker = CpuWorkerModel(config_).throughputPerCore();
-    } else {
-        per_worker =
-            IspDeviceModel(IspParams::smartSsd(), config_).throughput();
-    }
+    const double per_worker =
+        mode_ == PreprocessMode::kDisaggCpu
+            ? CpuWorkerModel(config_).throughputPerCore()
+            : IspDeviceModel(IspParams::smartSsd(), config_).throughput();
     provisioned_workers_ = worker_override > 0
                                ? worker_override
                                : static_cast<int>(
@@ -194,10 +113,7 @@ TrainManager::train(size_t total_batches, int worker_override)
     manager.start(total_batches);
 
     checksum_ = 0;
-    for (;;) {
-        auto mb = manager.nextBatch();
-        if (mb == nullptr)
-            break;
+    while (auto mb = manager.nextBatch()) {
         PRESTO_CHECK(mb->consistent(), "train manager got a bad batch");
         // "Training": fold a structural checksum so replays can assert
         // byte-identical delivery.

@@ -12,16 +12,11 @@
 #ifndef PRESTO_CORE_MANAGERS_H_
 #define PRESTO_CORE_MANAGERS_H_
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "core/partition_store.h"
+#include "core/preprocess_engine.h"
 #include "datagen/rm_config.h"
-#include "ops/preprocessor.h"
 #include "tabular/minibatch.h"
 
 namespace presto {
@@ -52,18 +47,19 @@ struct RunStats {
 };
 
 /**
- * Spawns preprocessing workers over a PartitionStore and serves
- * train-ready mini-batches (Figure 9 steps 3-5).
+ * Serves train-ready mini-batches of one store (Figure 9 steps 3-5):
+ * one weight-1 flow of a PreprocessEngine of its own, limited to the
+ * partitions start() asks for and delivered in partition order.
  *
- * Buffer ownership: the manager owns no long-lived buffers. Each
- * worker borrows a WorkerShell (its PartitionProducer, decode RowBatch
- * and BatchArena) from the store's ShellPool (PartitionStore::shells())
- * when it starts and returns it when it exits. A worker transforms into a recycled MiniBatch, else a
- * pooled one, and allocates only when both are empty. The destructor
- * returns recycled and undelivered batches to the pool; batches the
- * caller still holds stay the caller's. So consecutive managers over
- * one store (one per epoch) reuse the same memory, and what the pool
- * retains is bounded by the most shells the managers held at once.
+ * Buffer ownership: the manager owns no long-lived buffers. Its
+ * engine's workers borrow their WorkerShells (PartitionProducer,
+ * decode RowBatch, BatchArena) and every MiniBatch shell from the
+ * store's ShellPool (PartitionStore::shells()); recycle() hands a
+ * batch straight back to that pool, and the destructor returns the
+ * undelivered ones. Batches the caller still holds stay the caller's.
+ * So consecutive managers over one store (one per epoch) reuse the
+ * same memory, and what the pool retains is bounded by the most
+ * shells the managers held at once.
  */
 class PreprocessManager
 {
@@ -72,11 +68,12 @@ class PreprocessManager
      * @param config Workload description (also selects the Transform plan).
      * @param store The storage node holding encoded partitions.
      * @param mode Disagg vs PreSto data-path accounting.
-     * @param num_workers Worker threads. Each runs one loop: claim a
-     *        partition, Extract it through its own PartitionProducer,
-     *        Transform it into a MiniBatch with its own BatchArena, and
-     *        deliver it, so every stage's cost spreads over all workers.
-     * @param queue_capacity Bound of the mini-batch input queue.
+     * @param num_workers Worker threads. Each claims the next
+     *        partition, Extracts it through its own PartitionProducer
+     *        and Transforms it (TransformPlan::standard(config)) with
+     *        its own BatchArena, so every stage's cost spreads over all
+     *        workers.
+     * @param queue_capacity Bound of queued plus in-flight batches.
      * @param decode_pool Optional thread pool the per-worker readers
      *        use for page-parallel decode (models the FPGA Decoder
      *        unit). nullptr keeps per-page decode serial within each
@@ -111,8 +108,8 @@ class PreprocessManager
     {
     }
 
-    /** Stops workers; recycled and undelivered batches go to the
-        store's pool. */
+    /** Waits out in-flight productions and stops the workers;
+        undelivered batches go to the store's pool. */
     ~PreprocessManager();
 
     PreprocessManager(const PreprocessManager&) = delete;
@@ -122,48 +119,30 @@ class PreprocessManager
     void start(size_t total_batches);
 
     /**
-     * Blocking fetch of the next mini-batch (Figure 9 step 5).
+     * Blocking fetch of the next mini-batch (Figure 9 step 5), in
+     * partition order. Panics if a partition stays unreadable.
      * @return nullptr once all requested batches were delivered.
      */
     std::unique_ptr<MiniBatch> nextBatch();
 
     /**
-     * Return a consumed mini-batch so its tensors are reused for a
-     * later partition (steady-state zero-allocation delivery), by this
-     * manager or, after it is destroyed, by the next one over the
-     * store. Safe to skip: workers then take shells from the store's
-     * pool, or allocate.
+     * Return a consumed mini-batch to the store's pool so its tensors
+     * are reused for a later partition (steady-state zero-allocation
+     * delivery), by this manager or by the next one over the store.
+     * Safe to skip: workers then allocate.
      */
     void recycle(std::unique_ptr<MiniBatch> mb);
 
-    const RunStats& stats() const { return stats_; }
+    /** Accounting of the batches produced so far. */
+    RunStats stats() const;
     PreprocessMode mode() const { return mode_; }
 
   private:
-    /** Claim, Extract, Transform and deliver until no partition is left. */
-    void workerLoop();
-    bool claimPartition(uint64_t& id);
-
-    RmConfig config_;
     PartitionStore& store_;
     PreprocessMode mode_;
-    Preprocessor preprocessor_;
-    size_t queue_capacity_;
-    int num_workers_;
-    ThreadPool* decode_pool_;
-    IoRing* io_ring_;
-
-    std::mutex mu_;
-    std::condition_variable queue_not_empty_;
-    std::condition_variable queue_not_full_;
-    std::deque<std::unique_ptr<MiniBatch>> queue_;
-    std::vector<std::unique_ptr<MiniBatch>> free_batches_;
-    std::vector<std::thread> workers_;
-    uint64_t next_partition_ = 0;
-    size_t total_batches_ = 0;
-    size_t delivered_ = 0;
-    bool stopping_ = false;
-    RunStats stats_;
+    PreprocessEngine engine_;
+    FlowSpec flow_spec_;  ///< the flow start() opens
+    PreprocessEngine::FlowId flow_ = 0;  ///< 0 until start()
 };
 
 /**

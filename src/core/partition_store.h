@@ -302,6 +302,12 @@ class PartitionStore
     ShellPool shells_;  ///< own lock, independent of mu_
 };
 
+/** One partition of one store: what a preprocessing worker reads. */
+struct PartitionRef {
+    PartitionStore* store = nullptr;
+    uint64_t partition_id = 0;
+};
+
 }  // namespace presto
 
 #endif  // PRESTO_CORE_PARTITION_STORE_H_

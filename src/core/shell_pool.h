@@ -9,9 +9,12 @@
  * at the end of every run, the next run over the same data re-acquires
  * (and the kernel re-faults) all of it. The pool keeps them between
  * runs, the way the paper's in-storage units keep their decode and
- * transform buffers on the device across training jobs. A borrower
- * rebinds the shell's producer to its own decode pool and ring
- * (PartitionProducer::bind) before reading.
+ * transform buffers on the device across training jobs. The borrowers
+ * are PreprocessEngine workers (core/preprocess_engine.h): a batch
+ * pipeline's engine borrows both halves from its store's pool, the
+ * ingest service's engine from the service's own capped pool. A
+ * borrower rebinds the shell's producer to its own decode pool and
+ * ring (PartitionProducer::bind) before reading.
  *
  * Retention bound: a shell is created only when the pool has none idle
  * (take*() on an empty pool), so idle + lent shells never exceed the

@@ -1,4 +1,4 @@
-#include "service/wfq.h"
+#include "core/wfq.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,8 +1,8 @@
 /**
  * @file
- * WfqScheduler: the one weighted-fair-queueing policy of the service
- * tier, shared by the threaded IngestService and the discrete-event
- * service scenario.
+ * WfqScheduler: the one weighted-fair-queueing policy, shared by the
+ * worker engine (preprocess_engine.h) behind the batch pipeline and
+ * the ingest service, and by the discrete-event service scenario.
  *
  * Start-time fair queueing over flows (sessions or simulated tenants):
  *
@@ -14,15 +14,15 @@
  *    max(tag, system virtual time), so it neither starves the others
  *    nor replays service it never asked for (no catch-up burst).
  *
- * Eligibility stays with the caller: the service admits a session with
- * queue space and nothing in flight, the DES a tenant with a backlog
- * and queued + in flight below capacity. The scheduler decides only
- * the order among admitted flows.
+ * Eligibility stays with the caller: the engine and the DES both admit
+ * a flow whose queued + in-flight batches are below its capacity (the
+ * DES also asks for a backlog). The scheduler decides only the order
+ * among admitted flows.
  *
- * Not thread-safe: IngestService calls it under its mutex.
+ * Not thread-safe: the engine calls it under its mutex.
  */
-#ifndef PRESTO_SERVICE_WFQ_H_
-#define PRESTO_SERVICE_WFQ_H_
+#ifndef PRESTO_CORE_WFQ_H_
+#define PRESTO_CORE_WFQ_H_
 
 #include <cstdint>
 #include <map>
@@ -87,4 +87,4 @@ class WfqScheduler
 
 }  // namespace presto
 
-#endif  // PRESTO_SERVICE_WFQ_H_
+#endif  // PRESTO_CORE_WFQ_H_

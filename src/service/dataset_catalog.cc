@@ -178,8 +178,8 @@ EpochReader::shardOf(size_t index) const
     return index % state_->numShards();
 }
 
-StatusOr<PartitionStore*>
-EpochReader::shardStore(size_t index) const
+StatusOr<PartitionRef>
+EpochReader::locate(size_t index) const
 {
     if (!valid())
         return Status::failedPrecondition("EpochReader is not pinned");
@@ -188,36 +188,30 @@ EpochReader::shardStore(size_t index) const
             "partition " + std::to_string(index) + " >= epoch size " +
             std::to_string(partitions_));
     }
-    return state_->shards[index % state_->numShards()].get();
+    return PartitionRef{state_->shards[index % state_->numShards()].get(),
+                        partitionId(index)};
 }
 
 StatusOr<std::vector<uint8_t>>
 EpochReader::fetchEncoded(size_t index, uint64_t attempt,
                           bool* hot_tier_hit) const
 {
-    auto shard = shardStore(index);
-    if (!shard.ok())
-        return shard.status();
-    return (*shard)->fetchPartition(partitionId(index), attempt,
-                                    hot_tier_hit);
-}
-
-Status
-EpochReader::produce(PartitionProducer& producer, size_t index,
-                     RowBatch& out) const
-{
-    auto shard = shardStore(index);
-    if (!shard.ok())
-        return shard.status();
-    return producer.produce(**shard, partitionId(index), out);
+    auto where = locate(index);
+    if (!where.ok())
+        return where.status();
+    return where->store->fetchPartition(where->partition_id, attempt,
+                                        hot_tier_hit);
 }
 
 Status
 EpochReader::readPartition(size_t index, RowBatch& out,
                            bool* hot_tier_hit) const
 {
+    auto where = locate(index);
+    if (!where.ok())
+        return where.status();
     PartitionProducer producer;
-    Status st = produce(producer, index, out);
+    Status st = producer.produce(*where->store, where->partition_id, out);
     if (hot_tier_hit != nullptr)
         *hot_tier_hit = producer.lastStats().hot_tier_hit;
     return st;

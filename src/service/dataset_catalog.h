@@ -106,7 +106,6 @@ struct RetentionReport {
 };
 
 struct CatalogDataset;  // internal state, defined in dataset_catalog.cc
-class PartitionProducer;
 
 /**
  * A reader pinned to one published epoch of one dataset.
@@ -153,15 +152,14 @@ class EpochReader
         size_t index, uint64_t attempt = 0,
         bool* hot_tier_hit = nullptr) const;
 
-    /**
-     * Fetch + decode logical partition @p index into @p out through a
-     * worker's reused @p producer (retries and counters as documented
-     * in core/partition_producer.h).
-     */
-    Status produce(PartitionProducer& producer, size_t index,
-                   RowBatch& out) const;
+    /** Shard store and storage partition id of logical partition
+        @p index, or why it is not readable (unpinned reader, index out
+        of range). */
+    StatusOr<PartitionRef> locate(size_t index) const;
 
-    /** One-shot produce() through a fresh producer.
+    /** Fetch + decode logical partition @p index into @p out through a
+        fresh PartitionProducer (retries as documented in
+        core/partition_producer.h).
         @param hot_tier_hit Optional: as in fetchEncoded. */
     Status readPartition(size_t index, RowBatch& out,
                          bool* hot_tier_hit = nullptr) const;
@@ -172,10 +170,6 @@ class EpochReader
     friend class DatasetCatalog;
     EpochReader(std::shared_ptr<CatalogDataset> state, uint64_t epoch,
                 size_t partitions, std::shared_ptr<void> pin_token);
-
-    /** Shard store of logical partition @p index, or why it is not
-        readable (unpinned reader, index out of range). */
-    StatusOr<PartitionStore*> shardStore(size_t index) const;
 
     std::shared_ptr<CatalogDataset> state_;
     uint64_t epoch_ = 0;

@@ -16,44 +16,44 @@
  *    tenant whose declared demand would push any admitted tenant past
  *    its p99 SLO budget is rejected with an explicit reason.
  *  - A shared pool of preprocessing workers serves all admitted
- *    sessions under weighted-fair queueing (wfq.h, the scheduler the
- *    DES replay runs too): each production charges the session
- *    1/weight, and workers always serve the eligible session with the
- *    smallest start tag, so a tenant with weight 2 gets twice the
- *    throughput of a weight-1 tenant under contention. A session
- *    opened mid-stream, or returning from idle (its queue was full
- *    with nothing in flight), starts at the system virtual time: it
- *    takes no catch-up burst.
- *  - Trainer-demand backpressure: each session's output queue is
- *    bounded at its configured capacity, and a session is only
- *    *eligible* for production while it has queue space. A stalled
+ *    sessions: the service runs one PreprocessEngine
+ *    (core/preprocess_engine.h), each session one flow of it. Workers
+ *    pick sessions under weighted-fair queueing (core/wfq.h, the
+ *    scheduler the DES replay runs too): each claimed batch charges
+ *    the session 1/weight, and workers always serve the claimable
+ *    session with the smallest start tag, so a tenant with weight 2
+ *    gets twice the throughput of a weight-1 tenant under contention.
+ *    A session opened mid-stream, or returning from idle (its queue
+ *    was full with nothing in flight), starts at the system virtual
+ *    time: it takes no catch-up burst.
+ *  - Trainer-demand backpressure: a session's queued plus in-flight
+ *    batches are bounded by its configured queue capacity, and a
+ *    session is only *claimable* while it is below it. A stalled
  *    trainer therefore throttles its own fetch/transform work to a
  *    full queue — never unbounded buffering — while other tenants keep
  *    the workers busy.
  *
- * Batches within one session are delivered strictly in partition order
- * (the service keeps at most one production in flight per session);
- * parallelism comes from serving many sessions at once.
+ * Batches within one session are delivered strictly in partition
+ * order. Up to queue_capacity of them may be in production at once on
+ * different workers, so one trainer can keep every worker busy.
  */
 #ifndef PRESTO_SERVICE_INGEST_SERVICE_H_
 #define PRESTO_SERVICE_INGEST_SERVICE_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
+#include "core/preprocess_engine.h"
 #include "core/shell_pool.h"
 #include "ops/plan.h"
 #include "service/admission.h"
 #include "service/dataset_catalog.h"
-#include "service/wfq.h"
 #include "tabular/minibatch.h"
 
 namespace presto {
@@ -104,6 +104,7 @@ struct SessionStats {
     uint64_t delivered = 0;  ///< batches handed to the trainer
     size_t queue_capacity = 0;
     size_t max_queue_occupancy = 0;  ///< high-water mark (bounded proof)
+    size_t max_in_flight = 0;  ///< most productions at once (high-water)
     double service_sec_estimate = 0;
     /** Fetches served from the shard's hot memory tier (the session
         streams the promoted head epoch). */
@@ -170,37 +171,38 @@ class IngestService
     const ServiceOptions& options() const { return options_; }
 
   private:
-    struct Session;
+    /** What the service keeps of an open session; its stream is the
+        engine flow of the same id. */
+    struct Session {
+        TenantSpec spec;
+        EpochReader reader;
+    };
 
-    void workerLoop();
     /** Per-batch service-time estimate for a dataset config. */
     double estimateServiceSec(const RmConfig& config) const;
     /** Pin the epoch @p spec asks for (0 = newest published). */
     StatusOr<EpochReader> pinFor(const TenantSpec& spec) const;
-    /** Admission decision for @p spec at @p service_sec per batch
+    /** Admission decision for @p spec over a dataset of @p config
         against the open sessions; mu_ held. */
     AdmissionDecision admitLocked(const TenantSpec& spec,
-                                  double service_sec) const;
-    /** The open session @p session_id, or kNotFound; mu_ held. */
-    StatusOr<std::shared_ptr<Session>> findLocked(uint64_t session_id) const;
-    /** Idle-batch cap of batches_: workers plus every open session's
-        queue_capacity; mu_ held. */
-    size_t batchCapLocked() const;
+                                  const RmConfig& config) const;
+    /** Snapshot of open session @p id; mu_ held. */
+    SessionStats statsLocked(uint64_t id, const Session& session) const;
 
     DatasetCatalog& catalog_;
     ServiceOptions options_;
 
+    /** Guards sessions_; taken before the engine's lock, never under
+        it. */
     mutable std::mutex mu_;
-    std::condition_variable work_cv_;  ///< workers: eligibility changed
-    std::map<uint64_t, std::shared_ptr<Session>> sessions_;
-    WfqScheduler wfq_;  ///< one flow per open session, keyed by id
-    /** MiniBatch shells trainers recycled; own lock, taken after mu_
-        or alone. Only its batch half is used: worker buffers live as
-        long as the workers. */
-    ShellPool batches_;
-    uint64_t next_session_id_ = 1;
-    bool stopping_ = false;
-    std::vector<std::thread> workers_;
+    std::map<uint64_t, Session> sessions_;  ///< by session (= flow) id
+    /** Idle-batch cap of shells_: one per worker plus every open
+        session's queue_capacity. */
+    size_t batch_cap_;
+    /** Worker shells and the MiniBatch shells trainers recycled; its
+        own lock, taken after mu_ or alone. */
+    ShellPool shells_;
+    PreprocessEngine engine_;  ///< after shells_: borrows from it
 };
 
 }  // namespace presto

@@ -7,8 +7,8 @@
 #include <set>
 
 #include "common/logging.h"
+#include "core/wfq.h"
 #include "service/admission.h"
-#include "service/wfq.h"
 #include "sim/simulator.h"
 
 namespace presto {

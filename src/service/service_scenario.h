@@ -5,12 +5,12 @@
  *
  * The threaded IngestService cannot be run for a simulated day inside a
  * test, so this scenario replays the same policies — admission control
- * (admission.h), weighted-fair device scheduling (the service's own
- * WfqScheduler, wfq.h), and bounded per-tenant output queues — on the
- * DES engine (sim/simulator.h) at full fleet scale: a pool of ISP
- * devices serves batch requests from tenants whose offered load follows
- * diurnal curves with load spikes (diurnal.h), while FaultInjector
- * fail-stops remove devices mid-day.
+ * (admission.h), weighted-fair device scheduling (the worker
+ * engine's WfqScheduler, core/wfq.h), and bounded per-tenant output
+ * queues — on the DES engine (sim/simulator.h) at full fleet scale: a
+ * pool of ISP devices serves batch requests from tenants whose offered
+ * load follows diurnal curves with load spikes (diurnal.h), while
+ * FaultInjector fail-stops remove devices mid-day.
  *
  * The scenario is the evidence generator for docs/SERVICE.md and
  * bench_service: identical seeds and options produce bit-identical

@@ -19,11 +19,14 @@
 #include "core/data_loader.h"
 #include "core/fleet.h"
 #include "core/managers.h"
+#include "core/partition_producer.h"
 #include "core/partition_store.h"
+#include "core/preprocess_engine.h"
 #include "core/provisioner.h"
 #include "core/training_pipeline.h"
 #include "io/io_ring.h"
 #include "models/calibration.h"
+#include "ops/preprocessor.h"
 
 namespace presto {
 namespace {
@@ -470,6 +473,104 @@ TEST(ManagersTest, ConcurrentManagersShareTheStorePool)
     // worker shells than both managers' workers together.
     EXPECT_LE(shared.shells().idleWorkers(),
               static_cast<size_t>(a.workers + b.workers));
+}
+
+// --- The worker engine: order and errors ------------------------------------
+
+/** Digests of partitions [0, @p n) of @p store, each produced and
+    transformed on this thread by one producer and a Preprocessor. */
+std::vector<uint64_t>
+serialDigests(const RmConfig& cfg, PartitionStore& store, size_t n)
+{
+    PartitionProducer producer;
+    const Preprocessor preprocessor(cfg);
+    RowBatch raw;
+    MiniBatch mb;
+    BatchArena arena;
+    std::vector<uint64_t> digests;
+    for (uint64_t pid = 0; pid < n; ++pid) {
+        EXPECT_TRUE(producer.produce(store, pid, raw).ok()) << pid;
+        preprocessor.preprocessInto(raw, mb, arena);
+        digests.push_back(fullDigest(mb));
+    }
+    return digests;
+}
+
+TEST(PreprocessEngineTest, RetiredPartitionEndsTheFlowAfterEveryEarlierBatch)
+{
+    // Three workers run ahead of the consumer, past the retired
+    // partition; delivery still stops at it: 0..k-1 in order, then its
+    // kNotFound, then nothing more.
+    const RmConfig cfg = tinyConfig();
+    RawDataGenerator gen(cfg);
+    constexpr uint64_t kRetired = 3;
+    constexpr uint64_t kPartitions = 8;
+    std::vector<uint64_t> want;
+    {
+        PartitionStore clean(gen);
+        want = serialDigests(cfg, clean, kRetired);
+    }
+    PartitionStore store(gen);
+    ASSERT_TRUE(store.retirePartition(kRetired).ok());
+
+    PreprocessEngine engine(store.shells(), 3);
+    FlowSpec spec;
+    spec.queue_capacity = 4;
+    spec.limit = kPartitions;
+    spec.locate = [&store](uint64_t seq) -> StatusOr<PartitionRef> {
+        return PartitionRef{&store, seq};
+    };
+    spec.program = CompiledProgram::compile(
+        TransformPlan::standard(cfg),
+        Schema::makeRecSys(cfg.num_dense, cfg.num_sparse));
+    const PreprocessEngine::FlowId flow = engine.open(std::move(spec));
+
+    for (uint64_t seq = 0; seq < kRetired; ++seq) {
+        StatusOr<FlowBatch> got = engine.next(flow);
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        ASSERT_NE(got->batch, nullptr);
+        EXPECT_EQ(got->sequence, seq);
+        EXPECT_EQ(fullDigest(*got->batch), want[seq]) << seq;
+    }
+    for (int again = 0; again < 3; ++again) {
+        EXPECT_EQ(engine.next(flow).status().code(), StatusCode::kNotFound);
+    }
+    const FlowStats stats = engine.stats(flow);
+    EXPECT_EQ(stats.delivered, kRetired);
+    EXPECT_LE(stats.max_queue_occupancy, 4u);
+    engine.close(flow);
+    EXPECT_EQ(engine.next(flow).status().code(), StatusCode::kAborted);
+}
+
+TEST(ManagersTest, FaultyStoreDeliversInPartitionOrderAtThreeWorkers)
+{
+    // Transient errors and CRC-caught corruptions make productions
+    // finish out of order; delivery must not.
+    RmConfig cfg = rmConfig(1);
+    cfg.batch_size = 128;
+    RawDataGenerator gen(cfg);
+    constexpr size_t kBatches = 12;
+    std::vector<uint64_t> want;
+    {
+        PartitionStore clean(gen);
+        want = serialDigests(cfg, clean, kBatches);
+    }
+
+    FaultSpec faults_spec;
+    faults_spec.transient_read_error_prob = 0.2;
+    faults_spec.corruption_prob = 0.2;
+    const FaultInjector faults(faults_spec);
+    PartitionStore store(gen);
+    store.setFaultInjector(&faults);
+    PreprocessManager manager(cfg, store, PreprocessMode::kPreSto, 3, 4);
+    manager.start(kBatches);
+    std::vector<uint64_t> got;
+    while (auto mb = manager.nextBatch()) {
+        got.push_back(fullDigest(*mb));
+        manager.recycle(std::move(mb));
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_GT(manager.stats().transient_read_errors, 0u);
 }
 
 class PipelinePerRm : public ::testing::TestWithParam<int>

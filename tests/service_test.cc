@@ -28,12 +28,12 @@
 #include "columnar/columnar_file.h"
 #include "common/fault_injector.h"
 #include "core/partition_store.h"
+#include "core/wfq.h"
 #include "datagen/generator.h"
 #include "service/admission.h"
 #include "service/dataset_catalog.h"
 #include "service/ingest_service.h"
 #include "service/service_scenario.h"
-#include "service/wfq.h"
 #include "store/segment_store.h"
 
 namespace presto {
@@ -677,6 +677,47 @@ TEST(IngestServiceTest, StalledSessionTakesNoCatchUpBurst)
 
     ASSERT_TRUE(service.closeSession(*busy_id).ok());
     ASSERT_TRUE(service.closeSession(*stalled_id).ok());
+}
+
+TEST(IngestServiceTest, OneSessionKeepsEveryWorkerBusy)
+{
+    // One trainer, three workers: the session's next sequence numbers
+    // are claimed by different workers and produced side by side.
+    // RM1 partitions of 2048 rows keep each production busy long
+    // enough for the claims to overlap; the trainer pulls nothing, so
+    // the queue fills and must stop at its capacity.
+    DatasetCatalog catalog;
+    DatasetSpec spec = smallSpec("clicks");
+    spec.config.batch_size = 2048;
+    ASSERT_TRUE(catalog.registerDataset(spec).ok());
+    ASSERT_TRUE(catalog.publishEpoch("clicks").ok());
+
+    ServiceOptions options;
+    options.workers = 3;
+    IngestService service(catalog, options);
+    TenantSpec tenant;
+    tenant.name = "trainer";
+    tenant.dataset = "clicks";
+    tenant.queue_capacity = 12;
+    auto session = service.openSession(tenant);
+    ASSERT_TRUE(session.ok());
+
+    waitForProduced(service, "trainer", tenant.queue_capacity);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto stats = service.sessionStats(*session);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->max_in_flight, 3u);
+    EXPECT_EQ(stats->produced, tenant.queue_capacity);
+    EXPECT_LE(stats->max_queue_occupancy, tenant.queue_capacity);
+
+    // Delivery stays in partition order.
+    for (uint64_t i = 0; i < 2 * tenant.queue_capacity; ++i) {
+        auto got = service.nextBatch(*session);
+        ASSERT_TRUE(got.ok()) << got.status().toString();
+        EXPECT_EQ(got->sequence, i);
+        EXPECT_EQ(got->partition_index, i % spec.partitions_per_epoch);
+    }
+    ASSERT_TRUE(service.closeSession(*session).ok());
 }
 
 /** Bitwise equality of two delivered batches. */
