@@ -150,13 +150,16 @@ lzDecompress(std::span<const uint8_t> in, std::span<uint8_t> out)
         if (lit > out.size() - op)
             return Status::corruption("lz: literals exceed raw size");
         if (lit > 0) {
-            // Wild copy: a fixed-width 16-byte copy beats a variable
-            // memcpy for the short runs that dominate; the overshoot
-            // lands inside buffers we own and is overwritten by the
-            // next sequence. Fall back near either buffer's end.
-            if (lit <= 16 && in.size() - ip >= 16 &&
-                out.size() - op >= 16) {
+            // Wild copy: one or two fixed-width 16-byte copies beat a
+            // variable memcpy for the short runs that dominate; the
+            // overshoot lands inside buffers we own and is overwritten
+            // by the next sequence. Fall back near either buffer's end.
+            const size_t room = std::min(in.size() - ip, out.size() - op);
+            if (lit <= 16 && room >= 16) {
                 std::memcpy(out.data() + op, in.data() + ip, 16);
+            } else if (lit <= 32 && room >= 32) {
+                std::memcpy(out.data() + op, in.data() + ip, 16);
+                std::memcpy(out.data() + op + 16, in.data() + ip + 16, 16);
             } else {
                 std::memcpy(out.data() + op, in.data() + ip, lit);
             }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "columnar/encoding.h"
@@ -16,32 +17,37 @@ constexpr uint32_t kDecodeSize = 1u << kMaxHuffCodeLen;
 constexpr uint8_t kModeHuffman = 0;
 constexpr uint8_t kModeSingle = 1;
 
+/** kReverseByte[b] is b with its eight bits in reverse order. */
+constexpr std::array<uint8_t, 256> kReverseByte = [] {
+    std::array<uint8_t, 256> t{};
+    for (uint32_t b = 0; b < 256; ++b)
+        for (uint32_t i = 0; i < 8; ++i)
+            t[b] |= static_cast<uint8_t>(((b >> i) & 1u) << (7 - i));
+    return t;
+}();
+
+/** The low @p len bits of @p code (len <= 16) in reverse order. */
 uint32_t
 reverseBits(uint32_t code, int len)
 {
-    uint32_t rev = 0;
-    for (int i = 0; i < len; ++i)
-        rev |= ((code >> i) & 1u) << (len - 1 - i);
-    return rev;
+    const uint32_t rev16 = uint32_t{kReverseByte[code & 0xFF]} << 8 |
+                           kReverseByte[(code >> 8) & 0xFF];
+    return rev16 >> (16 - len);
 }
 
 /**
  * Assign canonical codes (MSB-first numbering: shorter codes are
- * numerically smaller prefixes) from a length table. Returns the Kraft
- * sum scaled to kDecodeSize; a complete code sums to exactly
- * kDecodeSize.
+ * numerically smaller prefixes, and codes of one length increase with
+ * the symbol) from a length table.
  */
-uint64_t
+void
 canonicalCodes(const std::array<uint8_t, kNumSymbols>& lengths,
                std::array<uint16_t, kNumSymbols>& codes)
 {
     std::array<uint32_t, kMaxHuffCodeLen + 1> count{};
-    uint64_t kraft = 0;
     for (uint32_t s = 0; s < kNumSymbols; ++s)
-        if (lengths[s] > 0) {
+        if (lengths[s] > 0)
             ++count[lengths[s]];
-            kraft += kDecodeSize >> lengths[s];
-        }
     std::array<uint32_t, kMaxHuffCodeLen + 2> first{};
     uint32_t code = 0;
     for (int len = 1; len <= kMaxHuffCodeLen; ++len) {
@@ -54,90 +60,179 @@ canonicalCodes(const std::array<uint8_t, kNumSymbols>& lengths,
     for (uint32_t s = 0; s < kNumSymbols; ++s)
         if (lengths[s] > 0)
             codes[s] = static_cast<uint16_t>(next[lengths[s]]++);
-    return kraft;
 }
 
 /**
- * Flat decode table entry: up to four symbols resolved per probe of the
- * low kMaxHuffCodeLen bits, so the hot loop's serial dependency (probe
- * -> shift -> probe) is paid once per several output bytes.
- *
- *   bits 0..31   symbols, in decode order (symbol k at bits 8k..8k+7)
- *   bits 32..35  symbol count (1..4)
- *   bits 36..39  total consumed bits across all packed symbols
- *   bits 40..43  first code's length alone (tail-loop single-symbol
- *                stepping and the mid-code truncation check)
+ * Single-symbol decode table, probed with the low kMaxHuffCodeLen bits
+ * of a lane: entry = code length | symbol << 8. The length sits in the
+ * low byte so the shift that consumes it needs no extract on the
+ * probe -> shift -> probe chain. Every probe resolves exactly one code,
+ * so this table also drives the careful tail loop and its mid-code
+ * truncation check, whichever loop decoded the bulk.
  */
-using DecodeTable = std::array<uint64_t, kDecodeSize>;
+using SingleTable = std::array<uint16_t, kDecodeSize>;
+
+/**
+ * Fused decode table: up to four whole codes resolved per probe, so the
+ * serial probe -> shift -> probe chain is paid once per several output
+ * bytes when codes are short. The consumed bits sit in the low byte,
+ * as in the single-symbol table, so the shift needs no extract.
+ *
+ *   bits 0..7    total consumed bits across all packed symbols
+ *   bits 8..15   symbol count (1..4)
+ *   bits 32..63  symbols, in decode order (symbol k at bits 32+8k..)
+ */
+using FusedTable = std::array<uint64_t, kDecodeSize>;
 constexpr uint32_t kMaxSymsPerProbe = 4;
 
 /**
- * Pass-2 fusion only pays for itself once the decode loop runs long
- * enough to amortize walking all 2^kMaxHuffCodeLen entries; below this
- * output size the pass-1 single-symbol table decodes the page faster
- * in total. (Fused and unfused tables decode identically — the fast
- * loop reads the same entry fields either way.)
+ * Kraft mass of each code length in units of 2^-kMaxHuffCodeLen: the
+ * share of probe windows whose first code has that length.
  */
-constexpr size_t kFusePassMinBytes = 8192;
+using LengthMass = std::array<uint32_t, kMaxHuffCodeLen + 1>;
+
+/**
+ * The fused loop wins only when most probes pack a second code: with
+ * ~8-bit codes (near-uniform byte histograms) a probe almost always
+ * yields one symbol, and the fused loop's wider entries and 4-byte
+ * stores cost more than the fusion saves. The decoder estimates, from
+ * the code lengths alone, the chance that the second code of a probe
+ * window fits in it — P2 = sum of mass[l1] * mass[l2] over
+ * l1 + l2 <= kMaxHuffCodeLen — and fuses when P2 >= kFuseMinP2 (in
+ * units of 2^-2*kMaxHuffCodeLen).
+ */
+constexpr uint64_t kFuseMinP2 = uint64_t{kDecodeSize} * kDecodeSize / 2;
 
 bool
-buildDecodeTable(const std::array<uint8_t, kNumSymbols>& lengths,
-                 DecodeTable& table, bool fuse)
+preferFusedLoop(const LengthMass& mass, size_t out_size)
 {
-    std::array<uint16_t, kNumSymbols> codes{};
-    if (canonicalCodes(lengths, codes) != kDecodeSize)
+    if (out_size < enc::detail::kHuffFuseMinBytes)
         return false;
-    // Pass 1: single-symbol entries keyed by the bit-reversed code
-    // (the bitstream is packed LSB-first).
-    for (uint32_t s = 0; s < kNumSymbols; ++s) {
-        const int len = lengths[s];
-        if (len == 0)
-            continue;
-        const uint32_t rev = reverseBits(codes[s], len);
-        const uint64_t entry = s | uint64_t{1} << 32 |
-                               static_cast<uint64_t>(len) << 36 |
-                               static_cast<uint64_t>(len) << 40;
-        for (uint32_t hi = 0; hi < (kDecodeSize >> len); ++hi)
-            table[rev | hi << len] = entry;
+    // upto[l]: mass of the lengths <= l.
+    std::array<uint32_t, kMaxHuffCodeLen + 1> upto{};
+    for (int l = 1; l <= kMaxHuffCodeLen; ++l)
+        upto[l] = upto[l - 1] + mass[l];
+    uint64_t p2 = 0;
+    for (int l1 = 1; l1 < kMaxHuffCodeLen; ++l1)
+        p2 += uint64_t{mass[l1]} * upto[kMaxHuffCodeLen - l1];
+    return p2 >= kFuseMinP2;
+}
+
+/** Why a serialized code-length table cannot be decoded with. */
+enum class TableError { kNone, kLengthOverLimit, kNotKraftComplete };
+
+/**
+ * Build the single-symbol table straight from the nibble-packed
+ * code-length table at @p packed (kTableBytes bytes) and report each
+ * length's Kraft mass.
+ *
+ * Word-parallel, so the build costs far less than a page's probes: each
+ * 8-byte word holds 16 lengths, and one compare per word and length
+ * yields a mask of that length's symbols. Walking a length's masks in
+ * order visits its symbols in symbol order — canonical order within the
+ * length — so codes are assigned with no sort and no per-symbol
+ * counters, and every fill of one length has the same trip count. Each
+ * code of length len owns the 2^(kMaxHuffCodeLen - len) indices whose
+ * low len bits are its bit reversal (the stream is packed LSB-first).
+ */
+TableError
+buildSingleTable(const uint8_t* packed, SingleTable& table, LengthMass& mass)
+{
+    constexpr uint64_t kOnes = 0x0101010101010101ull;
+    constexpr uint64_t kHigh = 0x8080808080808080ull;
+    constexpr uint32_t kWords = kTableBytes / 8;
+    // lo[w] / hi[w]: byte j holds the length of symbol 16w + 2j / + 1.
+    uint64_t lo[kWords], hi[kWords];
+    uint64_t over = 0;
+    for (uint32_t w = 0; w < kWords; ++w) {
+        const uint64_t x = enc::detail::load64le(packed + 8 * w);
+        lo[w] = x & 0x0F * kOnes;
+        hi[w] = (x >> 4) & 0x0F * kOnes;
+        // A byte <= 15 plus 0x74 sets its high bit iff it is >= 12.
+        constexpr uint64_t kOverBias = (0x80 - kMaxHuffCodeLen - 1) * kOnes;
+        over |= (lo[w] + kOverBias) | (hi[w] + kOverBias);
     }
-    if (!fuse)
-        return true;
-    // Pass 2: greedily fuse as many whole codes as fit in one probe
-    // window. A symbol is packed only when its code lies entirely
-    // inside the kMaxHuffCodeLen probed bits, so fused entries never
-    // depend on bits the probe did not see. Descending order makes the
-    // rewrite safe in place: entry v only reads indices v and v >>
-    // total (< v for v > 0), which still hold pass-1 entries.
-    for (uint32_t v = kDecodeSize; v-- > 0;) {
-        const uint32_t len1 =
-            static_cast<uint32_t>(table[v] >> 40) & 0xF;
-        uint64_t syms = table[v] & 0xFF;
-        uint32_t count = 1;
-        uint32_t total = len1;
+    if ((over & kHigh) != 0)
+        return TableError::kLengthOverLimit;
+
+    // sym_mask[len][w]: bit 8j is symbol 16w + 2j, bit 8j + 1 is
+    // 16w + 2j + 1, so increasing bits are increasing symbols.
+    uint64_t sym_mask[kMaxHuffCodeLen + 1][kWords];
+    uint32_t kraft = 0;
+    mass.fill(0);
+    for (uint32_t len = 1; len <= kMaxHuffCodeLen; ++len) {
+        uint32_t count = 0;
+        for (uint32_t w = 0; w < kWords; ++w) {
+            // A byte <= 15 plus 0x7F sets its high bit iff it is non-zero.
+            const uint64_t lo_ne = (lo[w] ^ len * kOnes) + 0x7F * kOnes;
+            const uint64_t hi_ne = (hi[w] ^ len * kOnes) + 0x7F * kOnes;
+            const uint64_t lo_eq = (~lo_ne & kHigh) >> 7;
+            const uint64_t hi_eq = (~hi_ne & kHigh) >> 7;
+            sym_mask[len][w] = lo_eq | hi_eq << 1;
+            // Byte sums by multiply (no popcount in baseline x86-64).
+            count += static_cast<uint32_t>(((lo_eq + hi_eq) * kOnes) >> 56);
+        }
+        mass[len] = count << (kMaxHuffCodeLen - len);
+        kraft += mass[len];
+    }
+    if (kraft != kDecodeSize)
+        return TableError::kNotKraftComplete;
+
+    uint32_t code = 0;  // canonical: MSB-first, shorter codes first
+    for (uint32_t len = 1; len <= kMaxHuffCodeLen; ++len) {
+        code <<= 1;
+        if (mass[len] == 0)
+            continue;
+        const uint32_t step = 1u << len;
+        for (uint32_t w = 0; w < kWords; ++w) {
+            for (uint64_t m = sym_mask[len][w]; m != 0; m &= m - 1) {
+                const auto bit = static_cast<uint32_t>(std::countr_zero(m));
+                const uint32_t sym = 16 * w + 2 * (bit >> 3) + (bit & 1);
+                const auto entry = static_cast<uint16_t>(len | sym << 8);
+                uint32_t i = reverseBits(code++, static_cast<int>(len));
+                if (len > kMaxHuffCodeLen - 2) {  // one or two entries
+                    table[i] = entry;
+                    if (len < kMaxHuffCodeLen)
+                        table[i + step] = entry;
+                    continue;
+                }
+                for (; i < kDecodeSize; i += 4 * step) {
+                    table[i] = entry;
+                    table[i + step] = entry;
+                    table[i + 2 * step] = entry;
+                    table[i + 3 * step] = entry;
+                }
+            }
+        }
+    }
+    return TableError::kNone;
+}
+
+/**
+ * Greedily fuse as many whole codes as fit in each probe window. A
+ * symbol is packed only when its code lies entirely inside the
+ * kMaxHuffCodeLen probed bits, so fused entries never depend on bits
+ * the probe did not see.
+ */
+void
+buildFusedTable(const SingleTable& single, FusedTable& fused)
+{
+    for (uint32_t v = 0; v < kDecodeSize; ++v) {
+        uint64_t syms = 0;
+        uint32_t count = 0;
+        uint32_t total = 0;
         while (count < kMaxSymsPerProbe) {
-            const uint64_t e = table[v >> total];
-            const uint32_t len = static_cast<uint32_t>(e >> 40) & 0xF;
+            const uint32_t e = single[v >> total];
+            const uint32_t len = e & 0xFF;
             if (total + len > kMaxHuffCodeLen)
                 break;
-            syms |= (e & 0xFF) << (8 * count);
+            syms |= static_cast<uint64_t>(e >> 8) << (8 * count);
             total += len;
             ++count;
         }
-        table[v] = syms | static_cast<uint64_t>(count) << 32 |
-                   static_cast<uint64_t>(total) << 36 |
-                   static_cast<uint64_t>(len1) << 40;
+        fused[v] = total | count << 8 | syms << 32;
     }
-    return true;
 }
-
-uint64_t
-loadLe64(const uint8_t* p)
-{
-    uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;  // x86/aarch64 little-endian; matches the rest of enc::.
-}
-
 }  // namespace
 
 namespace enc::detail {
@@ -366,14 +461,51 @@ huffStreamInfo(std::span<const uint8_t> in, HuffStreamInfo& info)
     return Status::okStatus();
 }
 
+}  // namespace enc
+
+namespace {
+
+/** One lane's cursor: its bitstream and its slice of the output. */
+struct Lane {
+    const uint8_t* bits;
+    size_t nbytes;
+    size_t in_pos;
+    uint64_t bitbuf;
+    uint32_t bitcount;
+    uint8_t* dst;
+    size_t o;
+    size_t n;
+};
+
+/** What huffDecompress() runs after the header is parsed and checked. */
+struct DecodePlan {
+    enc::detail::HuffLoop loop = enc::detail::HuffLoop::kNone;
+    uint8_t run_symbol = 0;             ///< kNone: the run's byte
+    const uint8_t* lanes = nullptr;     ///< first lane's first byte
+    uint64_t lane_bytes[kNumHuffLanes] = {};
+};
+
+struct DecodeTables {
+    SingleTable single;
+    FusedTable fused;
+};
+
+/**
+ * Parse and validate @p in's header for an @p out_size-byte output and
+ * build the decode tables @p plan's loop probes, in thread-local
+ * storage: one set per thread keeps the codec reentrant, and a
+ * warmed-up decode loop allocation-free.
+ */
 Status
-huffDecompress(std::span<const uint8_t> in, std::span<uint8_t> out)
+prepareDecode(std::span<const uint8_t> in, size_t out_size,
+              DecodePlan& plan, DecodeTables*& tables)
 {
     size_t pos = 0;
     uint64_t raw_count = 0;
-    PRESTO_RETURN_IF_ERROR(getVarint(in, pos, raw_count));
-    if (raw_count != out.size())
+    PRESTO_RETURN_IF_ERROR(enc::getVarint(in, pos, raw_count));
+    if (raw_count != out_size)
         return Status::corruption("entropy stream raw size mismatch");
+    plan.loop = enc::detail::HuffLoop::kNone;
     if (raw_count == 0) {
         if (pos != in.size())
             return Status::corruption("trailing bytes in entropy stream");
@@ -386,181 +518,275 @@ huffDecompress(std::span<const uint8_t> in, std::span<uint8_t> out)
     if (mode == kModeSingle) {
         if (pos >= in.size())
             return Status::corruption("truncated single-symbol stream");
-        const uint8_t sym = in[pos++];
+        plan.run_symbol = in[pos++];
         if (pos != in.size())
             return Status::corruption("trailing bytes in entropy stream");
-        std::memset(out.data(), sym, out.size());
         return Status::okStatus();
     }
     if (mode != kModeHuffman)
         return Status::corruption("unknown entropy stream mode");
 
-    uint64_t lane_bytes[kNumHuffLanes];
     uint64_t declared = 0;
     for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k) {
-        PRESTO_RETURN_IF_ERROR(getVarint(in, pos, lane_bytes[k]));
-        declared += lane_bytes[k];
+        PRESTO_RETURN_IF_ERROR(enc::getVarint(in, pos, plan.lane_bytes[k]));
+        // Bounded one by one, so the sum cannot wrap past the check
+        // below.
+        if (plan.lane_bytes[k] > in.size())
+            return Status::corruption("entropy lane sizes exceed stream");
+        declared += plan.lane_bytes[k];
     }
     if (pos + kTableBytes > in.size())
         return Status::corruption("truncated entropy code table");
 
-    std::array<uint8_t, kNumSymbols> lengths{};
-    for (uint32_t i = 0; i < kTableBytes; ++i) {
-        const uint8_t packed = in[pos + i];
-        const uint8_t lo = packed & 0xF;
-        const uint8_t hi = packed >> 4;
-        if (lo > kMaxHuffCodeLen || hi > kMaxHuffCodeLen)
-            return Status::corruption("entropy code length exceeds limit");
-        lengths[2 * i] = lo;
-        lengths[2 * i + 1] = hi;
+    static thread_local DecodeTables tls;
+    tables = &tls;
+    LengthMass mass{};
+    switch (buildSingleTable(in.data() + pos, tls.single, mass)) {
+      case TableError::kNone:
+        break;
+      case TableError::kLengthOverLimit:
+        return Status::corruption("entropy code length exceeds limit");
+      case TableError::kNotKraftComplete:
+        return Status::corruption("entropy code table not Kraft-complete");
     }
     pos += kTableBytes;
-
-    // One table per decode keeps the codec reentrant; the 8 KiB build
-    // is amortized over the page and reuses thread-local storage so a
-    // warmed-up decode loop stays allocation-free.
-    static thread_local DecodeTable table;
-    if (!buildDecodeTable(lengths, table,
-                          out.size() >= kFusePassMinBytes))
-        return Status::corruption("entropy code table not Kraft-complete");
 
     const size_t region = in.size() - pos;
     if (declared > region)
         return Status::corruption("entropy lane sizes exceed stream");
-    lane_bytes[kNumHuffLanes - 1] = region - declared;
+    plan.lane_bytes[kNumHuffLanes - 1] = region - declared;
+    plan.lanes = in.data() + pos;
 
-    // Per-lane cursors. Lane k decodes output bytes [k*n/N, (k+1)*n/N)
-    // from its own bitstream; the four chains are independent, which is
-    // the whole point — one chain's probe -> shift -> probe dependency
-    // is ~8 cycles, so interleaving four keeps the decoder throughput-
-    // bound instead of latency-bound.
-    struct Lane {
-        const uint8_t* bits;
-        size_t nbytes;
-        size_t in_pos;
-        uint64_t bitbuf;
-        uint32_t bitcount;
-        uint8_t* dst;
-        size_t o;
-        size_t n;
-    };
-    Lane lane[kNumHuffLanes];
-    {
-        const uint8_t* p = in.data() + pos;
-        const size_t total = out.size();
-        for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
-            const size_t begin = total * k / kNumHuffLanes;
-            const size_t end = total * (k + 1) / kNumHuffLanes;
-            lane[k] = Lane{p, static_cast<size_t>(lane_bytes[k]), 0, 0,
-                           0, out.data() + begin, 0, end - begin};
-            p += lane_bytes[k];
-        }
+    if (preferFusedLoop(mass, out_size)) {
+        buildFusedTable(tls.single, tls.fused);
+        plan.loop = enc::detail::HuffLoop::kFused;
+        return Status::okStatus();
     }
+    plan.loop = enc::detail::HuffLoop::kSingle;
+    return Status::okStatus();
+}
 
-    // Fast loop: per lane, one 64-bit refill feeds five probes
-    // (5 * 11 <= 56 bits guaranteed after refill); each probe writes
-    // its up-to-4 symbols branchlessly and advances by the entry's
-    // total bit count. The margins on the loop condition guarantee
-    // every write lands in bounds and every probe has its full code
-    // window, so no per-symbol checks are needed; the per-lane
-    // exact-consumption validation below still covers the whole stream
-    // because in_pos/bitcount accounting is identical to the careful
-    // tail loop.
-    constexpr uint32_t kProbesPerRefill = 5;
-    static_assert(kProbesPerRefill * kMaxHuffCodeLen <= 56);
-    constexpr size_t kFastMargin = kProbesPerRefill * kMaxSymsPerProbe;
+/** One refill: top the lane's bit buffer up to at least 56 bits. */
+inline void
+refill(const uint8_t*& in, uint64_t& bb, uint32_t& bc)
+{
+    bb |= enc::detail::load64le(in) << bc;
+    in += (63 - bc) >> 3;
+    bc |= 56;
+}
+
+/**
+ * Refill rounds lane @p L can run with no bounds check from input
+ * cursor @p in and output cursor @p d: each refill reads 8 bytes at the
+ * cursor and advances it by at most 7, and each round writes at most
+ * @p out_per_round bytes (the fused loop's last 4-byte store included).
+ */
+inline size_t
+safeRounds(const Lane& L, const uint8_t* in, const uint8_t* d,
+           size_t out_per_round)
+{
+    const auto in_left = static_cast<size_t>(L.bits + L.nbytes - in);
+    if (in_left < 8)
+        return 0;
+    const auto out_left = static_cast<size_t>(L.dst + L.n - d);
+    return std::min((in_left - 8) / 7 + 1, out_left / out_per_round);
+}
+
+/**
+ * Probes per refill: a refill guarantees 56 bits, enough for five
+ * probes of the longest code.
+ */
+constexpr uint32_t kProbesPerRefill = 5;
+static_assert(kProbesPerRefill * kMaxHuffCodeLen <= 56);
+
+/**
+ * Fast loop shared by both tables. Per round every lane refills once
+ * and runs kProbesPerRefill probes; @p probe decodes one probe window and
+ * advances the lane. Rounds are batched by safeRounds(), so the inner
+ * loop carries no per-round checks; the in_pos/bitcount accounting is
+ * the careful tail's, so its exact-consumption validation still covers
+ * the whole stream. The cursors live in locals so they stay in
+ * registers: an array-of-structs loop makes every probe a
+ * load-op-store round trip, and a byte store through a Lane's dst may
+ * alias the Lane, forcing a reload after each one.
+ */
+template <size_t kOutPerRound, typename Probe>
+void
+fastLoop(Lane (&lane)[kNumHuffLanes], Probe probe)
+{
     static_assert(kNumHuffLanes == 4);
-    {
-        // The lane state must live in registers here: a straight
-        // array-of-structs loop makes every probe a load-op-store
-        // round trip and the whole point of the lanes is lost.
-        const uint64_t* T = table.data();
-        Lane &A = lane[0], &B = lane[1], &C = lane[2], &D = lane[3];
-        uint64_t bbA = A.bitbuf, bbB = B.bitbuf, bbC = C.bitbuf,
-                 bbD = D.bitbuf;
-        uint32_t bcA = A.bitcount, bcB = B.bitcount, bcC = C.bitcount,
-                 bcD = D.bitcount;
-        size_t ipA = A.in_pos, ipB = B.in_pos, ipC = C.in_pos,
-               ipD = D.in_pos;
-        size_t oA = A.o, oB = B.o, oC = C.o, oD = D.o;
-        auto refill = [](const Lane& L, size_t& ip, uint64_t& bb,
-                         uint32_t& bc) {
-            bb |= loadLe64(L.bits + ip) << bc;
-            ip += (63 - bc) >> 3;
-            bc |= 56;
-        };
-        auto probe = [T](const Lane& L, size_t& o, uint64_t& bb,
-                         uint32_t& bc) {
-            const uint64_t e = T[bb & (kDecodeSize - 1)];
-            std::memcpy(L.dst + o, &e, 4);
-            o += static_cast<uint32_t>(e >> 32) & 0xF;
-            const uint32_t adv = static_cast<uint32_t>(e >> 36) & 0xF;
-            bb >>= adv;
-            bc -= adv;
-        };
-        while (ipA + 8 <= A.nbytes && oA + kFastMargin <= A.n &&
-               ipB + 8 <= B.nbytes && oB + kFastMargin <= B.n &&
-               ipC + 8 <= C.nbytes && oC + kFastMargin <= C.n &&
-               ipD + 8 <= D.nbytes && oD + kFastMargin <= D.n) {
-            refill(A, ipA, bbA, bcA);
-            refill(B, ipB, bbB, bcB);
-            refill(C, ipC, bbC, bcC);
-            refill(D, ipD, bbD, bcD);
+    uint64_t bbA = lane[0].bitbuf, bbB = lane[1].bitbuf,
+             bbC = lane[2].bitbuf, bbD = lane[3].bitbuf;
+    uint32_t bcA = lane[0].bitcount, bcB = lane[1].bitcount,
+             bcC = lane[2].bitcount, bcD = lane[3].bitcount;
+    const uint8_t *inA = lane[0].bits + lane[0].in_pos,
+                  *inB = lane[1].bits + lane[1].in_pos,
+                  *inC = lane[2].bits + lane[2].in_pos,
+                  *inD = lane[3].bits + lane[3].in_pos;
+    uint8_t *dA = lane[0].dst + lane[0].o, *dB = lane[1].dst + lane[1].o,
+            *dC = lane[2].dst + lane[2].o, *dD = lane[3].dst + lane[3].o;
+    for (;;) {
+        const size_t rounds = std::min(
+            std::min(safeRounds(lane[0], inA, dA, kOutPerRound),
+                     safeRounds(lane[1], inB, dB, kOutPerRound)),
+            std::min(safeRounds(lane[2], inC, dC, kOutPerRound),
+                     safeRounds(lane[3], inD, dD, kOutPerRound)));
+        if (rounds == 0)
+            break;
+        for (size_t r = 0; r < rounds; ++r) {
+            refill(inA, bbA, bcA);
+            refill(inB, bbB, bcB);
+            refill(inC, bbC, bcC);
+            refill(inD, bbD, bcD);
+#pragma GCC unroll 8
             for (uint32_t p = 0; p < kProbesPerRefill; ++p) {
-                probe(A, oA, bbA, bcA);
-                probe(B, oB, bbB, bcB);
-                probe(C, oC, bbC, bcC);
-                probe(D, oD, bbD, bcD);
+                probe(dA, bbA, bcA);
+                probe(dB, bbB, bcB);
+                probe(dC, bbC, bcC);
+                probe(dD, bbD, bcD);
             }
         }
-        A.bitbuf = bbA; A.bitcount = bcA; A.in_pos = ipA; A.o = oA;
-        B.bitbuf = bbB; B.bitcount = bcB; B.in_pos = ipB; B.o = oB;
-        C.bitbuf = bbC; C.bitcount = bcC; C.in_pos = ipC; C.o = oC;
-        D.bitbuf = bbD; D.bitcount = bcD; D.in_pos = ipD; D.o = oD;
     }
+    const uint64_t bb[] = {bbA, bbB, bbC, bbD};
+    const uint32_t bc[] = {bcA, bcB, bcC, bcD};
+    const uint8_t* in[] = {inA, inB, inC, inD};
+    const uint8_t* d[] = {dA, dB, dC, dD};
+    for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
+        lane[k].bitbuf = bb[k];
+        lane[k].bitcount = bc[k];
+        lane[k].in_pos = static_cast<size_t>(in[k] - lane[k].bits);
+        lane[k].o = static_cast<size_t>(d[k] - lane[k].dst);
+    }
+}
 
-    // Careful per-lane tail: byte-wise refill, one symbol per probe,
-    // and the mid-code check that a truncated or corrupt lane trips.
-    for (auto& L : lane) {
-        while (L.o < L.n) {
-            if (L.bitcount < 2 * kMaxHuffCodeLen) {
-                if (L.in_pos + 8 <= L.nbytes) {
-                    L.bitbuf |= loadLe64(L.bits + L.in_pos)
+/** Single-symbol loop: one code, one output byte per probe. */
+void
+singleLoop(const SingleTable& table, Lane (&lane)[kNumHuffLanes])
+{
+    const uint16_t* T = table.data();
+    fastLoop<kProbesPerRefill>(
+        lane, [T](uint8_t*& d, uint64_t& bb, uint32_t& bc) {
+            const uint32_t e = T[bb & (kDecodeSize - 1)];
+            bb >>= e & 63;  // the length byte; x86 shifts mask to 6 bits
+            bc -= e & 0xFF;
+            *d++ = static_cast<uint8_t>(e >> 8);
+        });
+}
+
+/**
+ * Fused loop: each probe stores its up-to-four symbols with one 4-byte
+ * write and advances by the entry's count and total bits.
+ */
+void
+fusedLoop(const FusedTable& table, Lane (&lane)[kNumHuffLanes])
+{
+    const uint64_t* T = table.data();
+    fastLoop<kProbesPerRefill * kMaxSymsPerProbe>(
+        lane, [T](uint8_t*& d, uint64_t& bb, uint32_t& bc) {
+            const uint64_t e = T[bb & (kDecodeSize - 1)];
+            bb >>= e & 63;  // the bit-count byte, as in singleLoop
+            bc -= e & 0xFF;
+            const auto syms = static_cast<uint32_t>(e >> 32);
+            std::memcpy(d, &syms, 4);
+            d += (e >> 8) & 0xFF;
+        });
+}
+
+/**
+ * Careful per-lane tail: byte-wise refill near the lane's end, one
+ * symbol per probe, and the mid-code check that a truncated or corrupt
+ * lane trips. Then the exact-consumption check: every stored byte of
+ * the lane must be needed, and the padding bits of its final byte must
+ * be zero.
+ */
+Status
+finishLane(const SingleTable& table, Lane& L)
+{
+    while (L.o < L.n) {
+        if (L.bitcount < 2 * kMaxHuffCodeLen) {
+            if (L.in_pos + 8 <= L.nbytes) {
+                const uint8_t* in = L.bits + L.in_pos;
+                refill(in, L.bitbuf, L.bitcount);
+                L.in_pos = static_cast<size_t>(in - L.bits);
+            } else {
+                while (L.in_pos < L.nbytes && L.bitcount <= 56) {
+                    L.bitbuf |= static_cast<uint64_t>(L.bits[L.in_pos++])
                                 << L.bitcount;
-                    L.in_pos += (63 - L.bitcount) >> 3;
-                    L.bitcount |= 56;
-                } else {
-                    while (L.in_pos < L.nbytes && L.bitcount <= 56) {
-                        L.bitbuf |=
-                            static_cast<uint64_t>(L.bits[L.in_pos++])
-                            << L.bitcount;
-                        L.bitcount += 8;
-                    }
+                    L.bitcount += 8;
                 }
             }
-            const uint64_t e = table[L.bitbuf & (kDecodeSize - 1)];
-            const uint32_t len1 = static_cast<uint32_t>(e >> 40) & 0xF;
-            if (len1 > L.bitcount)
-                return Status::corruption(
-                    "entropy bitstream ends mid-code");
-            L.dst[L.o++] = static_cast<uint8_t>(e);
-            L.bitbuf >>= len1;
-            L.bitcount -= len1;
         }
-
-        // Exact-consumption check: every stored byte of the lane must
-        // be needed, and the padding bits of its final byte must be
-        // zero.
-        const uint64_t consumed =
-            8 * static_cast<uint64_t>(L.in_pos) - L.bitcount;
-        const uint64_t used_bytes = (consumed + 7) / 8;
-        if (used_bytes != L.nbytes)
-            return Status::corruption("trailing bytes in entropy lane");
-        const uint32_t pad =
-            static_cast<uint32_t>(8 * used_bytes - consumed);
-        if (pad > 0 && (L.bitbuf & ((1u << pad) - 1)) != 0)
-            return Status::corruption("non-zero entropy padding bits");
+        const uint32_t e = table[L.bitbuf & (kDecodeSize - 1)];
+        const uint32_t len = e & 0xFF;
+        if (len > L.bitcount)
+            return Status::corruption("entropy bitstream ends mid-code");
+        L.dst[L.o++] = static_cast<uint8_t>(e >> 8);
+        L.bitbuf >>= len;
+        L.bitcount -= len;
     }
+    const uint64_t consumed = 8 * static_cast<uint64_t>(L.in_pos) - L.bitcount;
+    const uint64_t used_bytes = (consumed + 7) / 8;
+    if (used_bytes != L.nbytes)
+        return Status::corruption("trailing bytes in entropy lane");
+    const uint32_t pad = static_cast<uint32_t>(8 * used_bytes - consumed);
+    if (pad > 0 && (L.bitbuf & ((1u << pad) - 1)) != 0)
+        return Status::corruption("non-zero entropy padding bits");
+    return Status::okStatus();
+}
+
+}  // namespace
+
+namespace enc {
+
+namespace detail {
+
+Status
+huffPrepareDecode(std::span<const uint8_t> in, size_t out_size,
+                  HuffLoop& loop)
+{
+    DecodePlan plan;
+    DecodeTables* tables = nullptr;
+    PRESTO_RETURN_IF_ERROR(prepareDecode(in, out_size, plan, tables));
+    loop = plan.loop;
+    return Status::okStatus();
+}
+
+}  // namespace detail
+
+Status
+huffDecompress(std::span<const uint8_t> in, std::span<uint8_t> out)
+{
+    DecodePlan plan;
+    DecodeTables* tables = nullptr;
+    PRESTO_RETURN_IF_ERROR(prepareDecode(in, out.size(), plan, tables));
+    if (plan.loop == detail::HuffLoop::kNone) {
+        if (!out.empty())
+            std::memset(out.data(), plan.run_symbol, out.size());
+        return Status::okStatus();
+    }
+
+    // Lane k decodes output bytes [k*n/N, (k+1)*n/N) from its own
+    // bitstream. The chains are independent, which is the whole point:
+    // one chain's probe -> shift -> probe dependency is ~8 cycles, so
+    // interleaving four keeps the decoder throughput-bound instead of
+    // latency-bound.
+    Lane lane[kNumHuffLanes];
+    const uint8_t* p = plan.lanes;
+    const size_t total = out.size();
+    for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
+        const size_t begin = total * k / kNumHuffLanes;
+        const size_t end = total * (k + 1) / kNumHuffLanes;
+        lane[k] = Lane{p, static_cast<size_t>(plan.lane_bytes[k]), 0, 0, 0,
+                       out.data() + begin, 0, end - begin};
+        p += plan.lane_bytes[k];
+    }
+
+    if (plan.loop == detail::HuffLoop::kFused)
+        fusedLoop(tables->fused, lane);
+    else
+        singleLoop(tables->single, lane);
+    for (auto& L : lane)
+        PRESTO_RETURN_IF_ERROR(finishLane(tables->single, L));
     return Status::okStatus();
 }
 

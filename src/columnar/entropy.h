@@ -33,12 +33,33 @@
  *                                 zero-padded independently
  *
  * Codes are length-limited to kMaxHuffCodeLen bits via package-merge,
- * so the table is always Kraft-complete and the decoder can use one
- * flat 2^kMaxHuffCodeLen-entry lookup table (packing up to four
- * symbols per probe) with no escape path. The lanes exist purely for
- * decode ILP: one Huffman chain is serial (probe -> shift -> probe),
- * so the decoder interleaves kNumHuffLanes independent chains to hide
- * that latency. An empty input is just the varint 0.
+ * so the table is always Kraft-complete and the decoder probes flat
+ * 2^kMaxHuffCodeLen-entry lookup tables with no escape path. The lanes
+ * exist purely for decode ILP: one Huffman chain is serial (probe ->
+ * shift -> probe), so the decoder interleaves kNumHuffLanes
+ * independent chains to hide that latency. An empty input is just the
+ * varint 0.
+ *
+ * Two decode loops share that lane structure; each refill feeds five
+ * probes per lane:
+ *
+ *   single-symbol  a uint16_t {length, symbol} table; one code and one
+ *                  output byte per probe
+ *   fused          a uint64_t table whose entries pack every whole code
+ *                  (up to four) that fits in the probe window; one
+ *                  4-byte store per probe
+ *
+ * The decoder picks the loop from the code-length table alone. With
+ * mass[l] = count of length-l codes * 2^-l (the share of probe windows
+ * whose first code has length l), P2 = sum of mass[l1] * mass[l2] over
+ * l1 + l2 <= kMaxHuffCodeLen is the chance that a probe packs a second
+ * code. The fused loop runs when P2 >= 1/2 and the output is at least
+ * detail::kHuffFuseMinBytes; otherwise the single-symbol loop does.
+ * Near-uniform histograms (codes of ~8 bits, such as RM1's sparse-id
+ * pages) almost never pack a second code, and there the single-symbol
+ * loop is the faster one; skewed ones (1-4 bit codes) decode faster
+ * fused. Both loops produce the same bytes and share the careful tail
+ * and every validation below.
  *
  * Decoding is fully validated: a code-length nibble above the limit, a
  * table whose Kraft sum is not exactly 2^kMaxHuffCodeLen, lane sizes
@@ -99,6 +120,33 @@ Status huffStreamInfo(std::span<const uint8_t> in, HuffStreamInfo& info);
  */
 Status huffDecompress(std::span<const uint8_t> in, std::span<uint8_t> out);
 
+namespace detail {
+
+/**
+ * Output size below which huffDecompress() always runs the
+ * single-symbol loop: the fused table's 2^kMaxHuffCodeLen-entry build
+ * does not pay for itself on a shorter decode.
+ */
+inline constexpr size_t kHuffFuseMinBytes = 8192;
+
+/** The fast loop huffDecompress() runs on a stream (see the file comment). */
+enum class HuffLoop : uint8_t {
+    kNone,    ///< empty or single-symbol-run stream: no table probes
+    kSingle,  ///< one code per probe of the 2^11-entry uint16_t table
+    kFused,   ///< up to four codes per probe of the fused table
+};
+
+/**
+ * The set-up half of huffDecompress(): parse and validate @p in's
+ * header for an @p out_size-byte output and build the decode tables,
+ * decoding nothing. Reports in @p loop which fast loop the full decode
+ * would run. For the tests' path coverage and bench_decode's split of
+ * entropy time into table build and probe loop.
+ */
+Status huffPrepareDecode(std::span<const uint8_t> in, size_t out_size,
+                         HuffLoop& loop);
+
+}  // namespace detail
 }  // namespace enc
 }  // namespace presto
 

@@ -1,6 +1,7 @@
 #include "io/async_reader.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/batch_arena.h"
@@ -166,40 +167,41 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
     // in-flight window spans distinct channels even where consecutive
     // pages of one cold stream share one. completePage() is
     // order-independent, so only the schedule changes, not the result.
-    std::vector<size_t> order(plans_.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    order_.resize(plans_.size());
+    std::iota(order_.begin(), order_.end(), size_t{0});
     if (std::any_of(plans_.begin(), plans_.end(),
                     [](const PageReadPlan& p) { return p.channel >= 0; })) {
-        std::vector<std::vector<size_t>> queues;  // bucket 0 = unpinned
+        for (auto& bucket : buckets_)
+            bucket.clear();
+        size_t num_buckets = 0;
         for (size_t i = 0; i < plans_.size(); ++i) {
             const int32_t ch = plans_[i].channel;
             const size_t b = ch >= 0 ? static_cast<size_t>(ch) + 1 : 0;
-            if (queues.size() <= b)
-                queues.resize(b + 1);
-            queues[b].push_back(i);
+            if (buckets_.size() <= b)
+                buckets_.resize(b + 1);
+            num_buckets = std::max(num_buckets, b + 1);
+            buckets_[b].push_back(i);
         }
-        std::vector<uint64_t> cost(queues.size(), 0);
-        std::vector<size_t> head(queues.size(), 0);
-        order.clear();
-        while (order.size() < plans_.size()) {
-            size_t best = queues.size();
-            for (size_t b = 0; b < queues.size(); ++b) {
-                if (head[b] >= queues[b].size())
+        bucket_cost_.assign(num_buckets, 0);
+        bucket_head_.assign(num_buckets, 0);
+        order_.clear();
+        while (order_.size() < plans_.size()) {
+            size_t best = num_buckets;
+            for (size_t b = 0; b < num_buckets; ++b) {
+                if (bucket_head_[b] >= buckets_[b].size())
                     continue;
-                if (best == queues.size() || cost[b] < cost[best])
+                if (best == num_buckets || bucket_cost_[b] < bucket_cost_[best])
                     best = b;
             }
-            const size_t i = queues[best][head[best]++];
-            order.push_back(i);
-            cost[best] += placementPageCost(plans_[i].frame_bytes);
+            const size_t i = buckets_[best][bucket_head_[best]++];
+            order_.push_back(i);
+            bucket_cost_[best] += placementPageCost(plans_[i].frame_bytes);
         }
     }
 
     size_t next_plan = 0;
     size_t ring_outstanding = 0;
-    std::vector<size_t> ready;  ///< completed frames awaiting decode
-    std::vector<IoCompletion> reaped;
+    ready_.clear();
 
     // Account one reaped completion, then route its slot to the decode
     // backlog (or the decode pool).
@@ -224,7 +226,7 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
                 decodeSlot(slot_index, out_ptr);
             });
         } else {
-            ready.push_back(slot_index);
+            ready_.push_back(slot_index);
         }
     };
 
@@ -243,8 +245,8 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
                     plan_index = retries_.back().first;
                     attempt = retries_.back().second;
                     retries_.pop_back();
-                } else if (next_plan < order.size()) {
-                    plan_index = order[next_plan++];
+                } else if (next_plan < order_.size()) {
+                    plan_index = order_[next_plan++];
                 } else {
                     break;
                 }
@@ -266,18 +268,18 @@ AsyncPartitionReader::runRead(std::span<const uint8_t> file, int fd,
         // a decode, so the device window refills first and the flash
         // channels keep working underneath the decode.
         if (ring_outstanding > 0) {
-            reaped.clear();
-            ring_outstanding -= ring_->reapCompletions(consumer_, reaped);
-            if (!reaped.empty()) {
-                for (IoCompletion& c : reaped)
+            reaped_.clear();
+            ring_outstanding -= ring_->reapCompletions(consumer_, reaped_);
+            if (!reaped_.empty()) {
+                for (IoCompletion& c : reaped_)
                     handleCompletion(c);
                 continue;  // refill the window before decoding
             }
         }
 
-        if (!ready.empty()) {
-            const size_t slot_index = ready.front();
-            ready.erase(ready.begin());
+        if (!ready_.empty()) {
+            const size_t slot_index = ready_.front();
+            ready_.erase(ready_.begin());
             decodeSlot(slot_index, &out);
             continue;
         }

@@ -165,6 +165,17 @@ class AsyncPartitionReader
     std::vector<Slot> slots_;
     AsyncReadStats stats_;
 
+    // runRead()'s working lists, kept across reads so a warmed reader
+    // allocates nothing per read: the submission order, its per-channel
+    // buckets (0 = unpinned) with their cost and cursor, completed
+    // frames awaiting an inline decode, and each reap's completions.
+    std::vector<size_t> order_;
+    std::vector<std::vector<size_t>> buckets_;
+    std::vector<uint64_t> bucket_cost_;
+    std::vector<size_t> bucket_head_;
+    std::vector<size_t> ready_;
+    std::vector<IoCompletion> reaped_;
+
     // Shared with pool decode tasks (guarded by mu_).
     std::mutex mu_;
     std::condition_variable cv_;

@@ -51,6 +51,8 @@ IoRing::IoRing(IoRingOptions options) : options_(options)
     PRESTO_CHECK(options_.workers > 0, "ring needs at least one worker");
     stats_.latency_hist =
         Histogram(0.0, options_.latency_hist_max_sec, 1000);
+    sq_.reserve(options_.sq_depth);
+    cq_.reserve(options_.cq_depth);
     workers_.reserve(static_cast<size_t>(options_.workers));
     for (int w = 0; w < options_.workers; ++w)
         workers_.emplace_back([this, w] { deviceLoop(w); });

@@ -35,7 +35,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -229,8 +228,11 @@ class IoRing
     std::condition_variable sq_nonempty_; ///< work for device workers
     std::condition_variable cq_nonempty_; ///< completions to reap
     std::condition_variable idle_;        ///< SQ empty and nothing in flight
-    std::deque<Sqe> sq_;
-    std::deque<Cqe> cq_;
+    // FIFO queues in vectors reserved to sq_depth / cq_depth, so a
+    // warmed ring allocates nothing per request (entries leave from
+    // the middle too: channel-pinned pops, per-consumer reaps).
+    std::vector<Sqe> sq_;
+    std::vector<Cqe> cq_;
     size_t in_flight_ = 0;
     uint32_t next_consumer_ = 0;
     bool stop_ = false;

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <random>
 #include <string>
@@ -325,6 +326,411 @@ TEST(HuffRejectTest, GarbageNeverCrashes)
             b = static_cast<uint8_t>(rng());
         std::vector<uint8_t> out(rng() % 2048);
         (void)enc::huffDecompress(garbage, out);  // must not crash/UB
+    }
+}
+
+// --- the two decode loops ---------------------------------------------------
+//
+// huffDecompress() picks a single-symbol or a fused loop from the code
+// lengths (entropy.h). Every stream below is checked to take the loop
+// it is meant to cover, decoded, and compared with a bit-serial
+// reference decoder that shares no code with the codec.
+
+/** Parsed kEntropy huffman-mode stream (the format in entropy.h). */
+struct HuffStream {
+    uint64_t raw_count = 0;
+    std::vector<uint8_t> table;               ///< 128 nibble-packed bytes
+    std::vector<std::vector<uint8_t>> lanes;  ///< kNumHuffLanes bitstreams
+};
+
+HuffStream
+parseHuffStream(std::span<const uint8_t> in)
+{
+    HuffStream s;
+    size_t pos = 0;
+    EXPECT_TRUE(enc::getVarint(in, pos, s.raw_count).ok());
+    EXPECT_EQ(in[pos++], 0) << "not a huffman-mode stream";
+    uint64_t sizes[kNumHuffLanes] = {};
+    uint64_t declared = 0;
+    for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k) {
+        EXPECT_TRUE(enc::getVarint(in, pos, sizes[k]).ok());
+        declared += sizes[k];
+    }
+    s.table.assign(in.begin() + pos, in.begin() + pos + 128);
+    pos += 128;
+    sizes[kNumHuffLanes - 1] = in.size() - pos - declared;
+    for (uint64_t size : sizes) {
+        s.lanes.emplace_back(in.begin() + pos, in.begin() + pos + size);
+        pos += size;
+    }
+    return s;
+}
+
+std::vector<uint8_t>
+serializeHuffStream(const HuffStream& s)
+{
+    std::vector<uint8_t> out;
+    enc::putVarint(out, s.raw_count);
+    out.push_back(0);
+    for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k)
+        enc::putVarint(out, s.lanes[k].size());
+    out.insert(out.end(), s.table.begin(), s.table.end());
+    for (const auto& lane : s.lanes)
+        out.insert(out.end(), lane.begin(), lane.end());
+    return out;
+}
+
+/**
+ * Bit-serial reference decoder: reads one bit at a time MSB-first into
+ * a code and matches it against the canonical (length, code) pairs.
+ * Applies the format's rules directly: length limit, Kraft
+ * completeness, lane sizes, no lane ending mid-code, every lane byte
+ * used, zero padding. @return false for a malformed stream.
+ */
+bool
+referenceDecode(std::span<const uint8_t> in, size_t n,
+                std::vector<uint8_t>& out)
+{
+    out.assign(n, 0);
+    size_t pos = 0;
+    uint64_t raw = 0;
+    if (!enc::getVarint(in, pos, raw).ok() || raw != n)
+        return false;
+    if (n == 0)
+        return pos == in.size();
+    if (pos >= in.size())
+        return false;
+    const uint8_t mode = in[pos++];
+    if (mode == 1) {
+        if (pos + 1 != in.size())
+            return false;
+        std::fill(out.begin(), out.end(), in[pos]);
+        return true;
+    }
+    if (mode != 0)
+        return false;
+    uint64_t sizes[kNumHuffLanes] = {};
+    uint64_t declared = 0;
+    for (uint32_t k = 0; k + 1 < kNumHuffLanes; ++k) {
+        if (!enc::getVarint(in, pos, sizes[k]).ok() || sizes[k] > in.size())
+            return false;
+        declared += sizes[k];
+    }
+    if (pos + 128 > in.size())
+        return false;
+    std::vector<int> len(256);
+    uint64_t kraft = 0;
+    for (int s = 0; s < 256; ++s) {
+        const uint8_t b = in[pos + s / 2];
+        len[s] = s % 2 == 0 ? b & 0xF : b >> 4;
+        if (len[s] > kMaxHuffCodeLen)
+            return false;
+        if (len[s] > 0)
+            kraft += uint64_t{1} << (kMaxHuffCodeLen - len[s]);
+    }
+    if (kraft != uint64_t{1} << kMaxHuffCodeLen)
+        return false;
+    pos += 128;
+    std::map<std::pair<int, uint32_t>, uint8_t> code_to_sym;
+    uint32_t code = 0;
+    for (int l = 1; l <= kMaxHuffCodeLen; ++l, code <<= 1)
+        for (int s = 0; s < 256; ++s)
+            if (len[s] == l)
+                code_to_sym[{l, code++}] = static_cast<uint8_t>(s);
+    if (declared > in.size() - pos)
+        return false;
+    sizes[kNumHuffLanes - 1] = in.size() - pos - declared;
+    const uint8_t* lane = in.data() + pos;
+    for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
+        const uint64_t nbits = 8 * sizes[k];
+        uint64_t bit = 0;
+        for (size_t i = n * k / kNumHuffLanes; i < n * (k + 1) / kNumHuffLanes;
+             ++i) {
+            uint32_t c = 0;
+            for (int l = 1;; ++l) {
+                if (bit >= nbits || l > kMaxHuffCodeLen)
+                    return false;
+                c = c << 1 | ((lane[bit >> 3] >> (bit & 7)) & 1u);
+                ++bit;
+                const auto it = code_to_sym.find({l, c});
+                if (it != code_to_sym.end()) {
+                    out[i] = it->second;
+                    break;
+                }
+            }
+        }
+        if ((bit + 7) / 8 != sizes[k])
+            return false;
+        for (; bit < nbits; ++bit)
+            if ((lane[bit >> 3] >> (bit & 7)) & 1u)
+                return false;
+        lane += sizes[k];
+    }
+    return true;
+}
+
+/**
+ * Bytes whose code lengths land at 5..9 bits, like RM1's sparse-id
+ * pages: a dyadic distribution of 4 symbols at 2^-5, 8 at 2^-6, 16 at
+ * 2^-7, 48 at 2^-8 and 160 at 2^-9 (sum 1, all 256 byte values).
+ */
+std::vector<uint8_t>
+rm1LikeBytes(size_t n, uint64_t seed)
+{
+    std::vector<uint8_t> slots;  // 512 equally likely slots
+    uint32_t sym = 0;
+    for (auto [count, len] : {std::pair{4, 5}, {8, 6}, {16, 7}, {48, 8},
+                              {160, 9}})
+        for (int i = 0; i < count; ++i, ++sym)
+            slots.insert(slots.end(), size_t{512} >> len,
+                         static_cast<uint8_t>(sym * 97 + 13));
+    std::mt19937_64 rng(seed);
+    std::vector<uint8_t> v(n);
+    for (auto& b : v)
+        b = slots[rng() % slots.size()];
+    return v;
+}
+
+enum class Shape { kNearUniform, kRm1Like, kSkewed, kTwoSymbols };
+
+const char*
+shapeName(Shape s)
+{
+    switch (s) {
+      case Shape::kNearUniform: return "near-uniform";
+      case Shape::kRm1Like: return "rm1-like";
+      case Shape::kSkewed: return "skewed";
+      case Shape::kTwoSymbols: return "two-symbols";
+    }
+    return "?";
+}
+
+std::vector<uint8_t>
+shapeBytes(Shape s, size_t n, uint64_t seed)
+{
+    switch (s) {
+      case Shape::kNearUniform: return makeDist(Dist::kRandom, n, seed);
+      case Shape::kRm1Like: return rm1LikeBytes(n, seed);
+      case Shape::kSkewed: return makeDist(Dist::kGeometric, n, seed);
+      case Shape::kTwoSymbols: return makeDist(Dist::kTwoEqual, n, seed);
+    }
+    return {};
+}
+
+/** The loop a stream of @p shape and @p n bytes is meant to take. */
+enc::detail::HuffLoop
+expectedLoop(Shape shape, size_t n)
+{
+    const bool fuses = shape == Shape::kSkewed || shape == Shape::kTwoSymbols;
+    return fuses && n >= enc::detail::kHuffFuseMinBytes
+               ? enc::detail::HuffLoop::kFused
+               : enc::detail::HuffLoop::kSingle;
+}
+
+enc::detail::HuffLoop
+loopOf(std::span<const uint8_t> packed, size_t n)
+{
+    enc::detail::HuffLoop loop = enc::detail::HuffLoop::kNone;
+    EXPECT_TRUE(enc::detail::huffPrepareDecode(packed, n, loop).ok());
+    return loop;
+}
+
+TEST(HuffLoopTest, EveryShapeAndSizeTakesItsLoopAndMatchesTheReference)
+{
+    constexpr size_t kFuse = enc::detail::kHuffFuseMinBytes;
+    // n < 4 and n % 4 != 0, lanes too short to enter the fast loop
+    // (under 8 stored bytes each), and sizes around the fuse threshold.
+    const std::vector<size_t> sizes{4,        5,        6,        7,
+                                    16,       33,       61,       1021,
+                                    kFuse - 1, kFuse,    kFuse + 1, kFuse + 3,
+                                    65537};
+    int single = 0, fused = 0;
+    for (Shape shape : {Shape::kNearUniform, Shape::kRm1Like, Shape::kSkewed,
+                        Shape::kTwoSymbols}) {
+        for (size_t n : sizes) {
+            const auto raw = shapeBytes(shape, n, n * 7 + 1);
+            const auto packed = enc::huffCompress(raw);
+            HuffStreamInfo info;
+            ASSERT_TRUE(enc::huffStreamInfo(packed, info).ok());
+            if (info.mode != 0)
+                continue;  // a single-symbol run: no table to probe
+            const auto loop = loopOf(packed, n);
+            EXPECT_EQ(loop, expectedLoop(shape, n))
+                << shapeName(shape) << " n=" << n;
+            single += loop == enc::detail::HuffLoop::kSingle;
+            fused += loop == enc::detail::HuffLoop::kFused;
+
+            std::vector<uint8_t> out(n), ref;
+            ASSERT_TRUE(enc::huffDecompress(packed, out).ok())
+                << shapeName(shape) << " n=" << n;
+            ASSERT_TRUE(referenceDecode(packed, n, ref))
+                << shapeName(shape) << " n=" << n;
+            EXPECT_EQ(out, raw) << shapeName(shape) << " n=" << n;
+            EXPECT_EQ(ref, raw) << shapeName(shape) << " n=" << n;
+        }
+    }
+    EXPECT_GE(single, 20);
+    EXPECT_GE(fused, 8);  // both loops covered
+}
+
+TEST(HuffLoopTest, Rm1LikeBytesCodeAtFiveToNineBits)
+{
+    const auto packed = enc::huffCompress(rm1LikeBytes(65536, 2));
+    const HuffStream s = parseHuffStream(packed);
+    int lo = 16, hi = 0;
+    for (uint8_t b : s.table)
+        for (int l : {b & 0xF, b >> 4})
+            if (l > 0) {
+                lo = std::min(lo, l);
+                hi = std::max(hi, l);
+            }
+    EXPECT_EQ(lo, 5);
+    EXPECT_EQ(hi, 9);
+}
+
+/** Streams that cover each loop, for the corruption cases below. */
+struct LoopCorpus {
+    std::string name;
+    std::vector<uint8_t> raw;
+    std::vector<uint8_t> packed;
+};
+
+std::vector<LoopCorpus>
+loopCorpora()
+{
+    constexpr size_t kBig = enc::detail::kHuffFuseMinBytes + 808;
+    std::vector<LoopCorpus> out;
+    for (auto [shape, n] : {std::pair{Shape::kSkewed, kBig},
+                            {Shape::kTwoSymbols, kBig},
+                            {Shape::kNearUniform, kBig},
+                            {Shape::kRm1Like, kBig},
+                            {Shape::kSkewed, size_t{2048}}}) {
+        LoopCorpus c;
+        c.name = std::string(shapeName(shape)) + "/" + std::to_string(n);
+        c.raw = shapeBytes(shape, n, 41);
+        c.packed = enc::huffCompress(c.raw);
+        EXPECT_EQ(loopOf(c.packed, n), expectedLoop(shape, n)) << c.name;
+        out.push_back(std::move(c));
+    }
+    return out;
+}
+
+TEST(HuffLoopRejectTest, EveryTruncationRejectedOnBothLoops)
+{
+    for (const auto& c : loopCorpora()) {
+        std::vector<uint8_t> out(c.raw.size());
+        // Every prefix up to the table, then a stride through the lanes
+        // and every one of the last 64 bytes.
+        for (size_t keep = 0; keep < c.packed.size();
+             keep += keep < 160 || keep + 64 >= c.packed.size() ? 1 : 37) {
+            const std::span<const uint8_t> prefix(c.packed.data(), keep);
+            EXPECT_EQ(enc::huffDecompress(prefix, out).code(),
+                      StatusCode::kCorruption)
+                << c.name << " prefix of " << keep << " bytes";
+        }
+    }
+}
+
+TEST(HuffLoopRejectTest, WrongSizeTableMutationAndTrailingBytesRejected)
+{
+    for (const auto& c : loopCorpora()) {
+        for (size_t wrong : {c.raw.size() - 1, c.raw.size() + 1}) {
+            std::vector<uint8_t> out(wrong);
+            EXPECT_EQ(enc::huffDecompress(c.packed, out).code(),
+                      StatusCode::kCorruption)
+                << c.name << " out size " << wrong;
+        }
+        std::vector<uint8_t> out(c.raw.size());
+        HuffStreamInfo info;
+        ASSERT_TRUE(enc::huffStreamInfo(c.packed, info).ok());
+        const size_t table_at = info.header_bytes - info.table_bytes;
+        auto mutated = c.packed;
+        for (size_t i = 0; i < info.table_bytes; ++i) {
+            for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x10}}) {
+                mutated[table_at + i] ^= mask;
+                EXPECT_EQ(enc::huffDecompress(mutated, out).code(),
+                          StatusCode::kCorruption)
+                    << c.name << " table byte " << i;
+                mutated[table_at + i] ^= mask;
+            }
+        }
+        mutated.push_back(0x00);
+        EXPECT_EQ(enc::huffDecompress(mutated, out).code(),
+                  StatusCode::kCorruption)
+            << c.name << " trailing byte";
+    }
+}
+
+TEST(HuffLoopRejectTest, LaneEndingMidCodeOrWithSpareBytesRejected)
+{
+    for (const auto& c : loopCorpora()) {
+        std::vector<uint8_t> out(c.raw.size());
+        for (uint32_t k = 0; k < kNumHuffLanes; ++k) {
+            HuffStream s = parseHuffStream(c.packed);
+            s.lanes[k].pop_back();  // the lane now ends mid-code
+            EXPECT_EQ(enc::huffDecompress(serializeHuffStream(s), out).code(),
+                      StatusCode::kCorruption)
+                << c.name << " lane " << k << " short";
+            s = parseHuffStream(c.packed);
+            s.lanes[k].push_back(0x00);  // a byte no code needs
+            EXPECT_EQ(enc::huffDecompress(serializeHuffStream(s), out).code(),
+                      StatusCode::kCorruption)
+                << c.name << " lane " << k << " long";
+        }
+    }
+}
+
+TEST(HuffLoopRejectTest, LaneSizesThatWrapTheirSumRejected)
+{
+    // Three declared lane sizes whose 64-bit sum wraps to a small
+    // number must not pass the lane-size check.
+    const auto raw = shapeBytes(Shape::kNearUniform, 4096, 5);
+    const HuffStream s = parseHuffStream(enc::huffCompress(raw));
+    std::vector<uint8_t> bad;
+    enc::putVarint(bad, s.raw_count);
+    bad.push_back(0);
+    enc::putVarint(bad, uint64_t{1} << 63);
+    enc::putVarint(bad, uint64_t{1} << 63);
+    enc::putVarint(bad, 16);
+    bad.insert(bad.end(), s.table.begin(), s.table.end());
+    for (const auto& lane : s.lanes)
+        bad.insert(bad.end(), lane.begin(), lane.end());
+    std::vector<uint8_t> out(raw.size()), ref;
+    EXPECT_EQ(enc::huffDecompress(bad, out).code(), StatusCode::kCorruption);
+    EXPECT_FALSE(referenceDecode(bad, raw.size(), ref));
+}
+
+TEST(HuffLoopRejectTest, BitFlipsAgreeWithTheReferenceDecoder)
+{
+    // Flipped payload bits either decode to other bytes or break a
+    // rule (mid-code end, spare bytes, non-zero padding); the fast
+    // decoder must make the reference decoder's call and, when it
+    // accepts, produce the same bytes.
+    std::mt19937_64 rng(77);
+    for (const auto& c : loopCorpora()) {
+        HuffStreamInfo info;
+        ASSERT_TRUE(enc::huffStreamInfo(c.packed, info).ok());
+        std::vector<size_t> bits;
+        for (size_t b = 8 * (c.packed.size() - 2); b < 8 * c.packed.size(); ++b)
+            bits.push_back(b);  // the last lane's padding is in here
+        for (int i = 0; i < 100; ++i)
+            bits.push_back(8 * info.header_bytes +
+                           rng() % (8 * (c.packed.size() - info.header_bytes)));
+        int rejected = 0;
+        for (size_t b : bits) {
+            auto flipped = c.packed;
+            flipped[b / 8] ^= static_cast<uint8_t>(1u << (b % 8));
+            std::vector<uint8_t> out(c.raw.size()), ref;
+            const Status st = enc::huffDecompress(flipped, out);
+            const bool ref_ok = referenceDecode(flipped, c.raw.size(), ref);
+            ASSERT_EQ(st.ok(), ref_ok) << c.name << " bit " << b;
+            if (ref_ok)
+                EXPECT_EQ(out, ref) << c.name << " bit " << b;
+            else
+                EXPECT_EQ(st.code(), StatusCode::kCorruption);
+            rejected += !ref_ok;
+        }
+        EXPECT_GT(rejected, 0) << c.name;
     }
 }
 

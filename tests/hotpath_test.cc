@@ -744,6 +744,13 @@ TEST(ZeroAllocTest, SecondRingEpochOverAStoreReusesItsShells)
     EXPECT_LT(second.bytes * 20, first.bytes)
         << "second epoch allocated " << second.bytes << " of the first's "
         << first.bytes << " bytes";
+    // The ring's queues and the reader's per-read lists are reused, so
+    // what a warmed epoch still allocates is the segment store's
+    // per-read copies (segment info, path, footer tail) and the
+    // footer parse: ~218 KiB over the 6 partitions, where the ring's
+    // deques and the per-read lists added ~68 KiB more.
+    EXPECT_LT(second.bytes, size_t{256} << 10)
+        << "second epoch allocated " << second.bytes << " bytes";
 }
 
 TEST(ZeroAllocTest, RecyclingServiceSessionDoesNotAllocate)
