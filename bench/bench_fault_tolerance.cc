@@ -131,7 +131,6 @@ emitPoolCurve()
         int rejected = 0;
         int rejected_demand = 0;
         int rejected_capacity_lost = 0;
-        int rejected_slo = 0;
         for (const auto& jr : r.jobs) {
             if (!jr.rejected)
                 continue;
@@ -142,9 +141,6 @@ emitPoolCurve()
                 break;
             case RejectKind::kCapacityLost:
                 ++rejected_capacity_lost;
-                break;
-            case RejectKind::kSloBudget:
-                ++rejected_slo;
                 break;
             case RejectKind::kNone:
                 break;
@@ -158,14 +154,13 @@ emitPoolCurve()
             "\"mean_reprovision_latency_sec\": %.4f, "
             "\"capacity_loss_device_sec\": %.4f, "
             "\"rejected_jobs\": %d, "
-            "\"rejects_by_reason\": {\"%s\": %d, \"%s\": %d, \"%s\": %d}, "
+            "\"rejects_by_reason\": {\"%s\": %d, \"%s\": %d}, "
             "\"mean_wait_sec\": %.4f}%s\n",
             rate, r.devices_failed, r.replacements_requested,
             r.replacements_granted, r.mean_reprovision_latency_sec,
             r.capacity_loss_device_sec, rejected,
             rejectKindName(RejectKind::kDemandExceedsPool), rejected_demand,
             rejectKindName(RejectKind::kCapacityLost), rejected_capacity_lost,
-            rejectKindName(RejectKind::kSloBudget), rejected_slo,
             r.mean_wait_sec,
             i + 1 < std::size(kRates) ? "," : "");
     }

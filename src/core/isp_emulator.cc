@@ -1,10 +1,11 @@
 #include "core/isp_emulator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "columnar/columnar_file.h"
 #include "common/logging.h"
-#include "ops/opvm.h"
+#include "ops/plan.h"
 
 namespace presto {
 
@@ -13,17 +14,50 @@ namespace {
 /** On-chip buffer capacity of one PE (values per double-buffer half). */
 constexpr size_t kPeBufferValues = 4096;
 
+/**
+ * Distinct PEs engaged by @p prog's streams on @p num_units PEs: one
+ * stream per dense output, a generated output on its source dense
+ * feature's stream (both chains read the same decoded values), raw
+ * sparse streams after the dense ones.
+ */
+uint32_t
+featureUnitsUsed(const CompiledProgram& prog, size_t num_units)
+{
+    std::vector<char> used(num_units, 0);
+    for (const CompiledOutput& out : prog.outputs()) {
+        if (out.kind == PlanOutput::Kind::kLabel)
+            continue;
+        size_t stream = out.kind == PlanOutput::Kind::kDense
+                            ? out.slot
+                            : prog.numDense() + out.slot;
+        if (out.kind == PlanOutput::Kind::kGenerated) {
+            for (const CompiledOutput& d : prog.outputs()) {
+                if (d.kind == PlanOutput::Kind::kDense &&
+                    d.source == out.source) {
+                    stream = d.slot;
+                    break;
+                }
+            }
+        }
+        used[stream % num_units] = 1;
+    }
+    return static_cast<uint32_t>(std::count(used.begin(), used.end(), 1));
+}
+
 }  // namespace
 
 IspEmulator::IspEmulator(const RmConfig& config, int num_feature_units,
                          ThreadPool* decode_pool)
-    : config_(config), num_feature_units_(num_feature_units),
-      reference_plan_(config),
-      unit_used_(static_cast<size_t>(num_feature_units > 0
-                                         ? num_feature_units
-                                         : 1))
+    : config_(config),
+      program_(CompiledProgram::compile(
+          TransformPlan::standard(config),
+          Schema::makeRecSys(config.num_dense, config.num_sparse))),
+      bucketize_levels_(static_cast<uint64_t>(
+          std::log2(static_cast<double>(config.bucket_size)) + 1.0))
 {
-    PRESTO_CHECK(num_feature_units_ >= 1, "need at least one feature unit");
+    PRESTO_CHECK(num_feature_units >= 1, "need at least one feature unit");
+    feature_units_used_ = featureUnitsUsed(
+        program_, static_cast<size_t>(num_feature_units));
     reader_.setThreadPool(decode_pool);
 }
 
@@ -51,112 +85,39 @@ IspEmulator::processInto(std::span<const uint8_t> encoded_partition,
         return Status(st.code(), "ISP decode failed: " + st.message());
     if (Status st = reader_.readAllInto(raw_); !st.ok())
         return Status(st.code(), "ISP decode failed: " + st.message());
-    const RowBatch& raw = raw_;
-    counters_.decoded_values = raw.totalValues();
-
-    const CompiledProgram& prog = reference_plan_.program();
-    if (raw.schema().fingerprint() != prog.inputSchema().fingerprint()) {
+    counters_.decoded_values = raw_.totalValues();
+    if (raw_.schema().fingerprint() !=
+        program_.inputSchema().fingerprint()) {
         return Status::corruption(
             "partition schema does not match the workload");
     }
 
-    const size_t batch = raw.numRows();
-    mb.batch_size = batch;
-    mb.num_dense = prog.numDense();
-    mb.dense.resize(batch * prog.numDense());
-    mb.sparse.resize(prog.numSparse());
+    // --- Generation and Normalization PEs, then DMA-out: the CPU
+    // path's compiled program.
+    program_.run(raw_, mb, arena_);
 
-    const auto levels = static_cast<uint64_t>(
-        std::log2(static_cast<double>(config_.bucket_size)) + 1.0);
-
-    std::fill(unit_used_.begin(), unit_used_.end(), 0);
-    auto engageUnit = [&](size_t stream) {
-        unit_used_[stream % unit_used_.size()] = 1;
-    };
-
-    // Process one output's value stream through a PE in double-buffered
-    // chunks: while chunk i is being transformed, chunk i+1 would be
-    // fetched from device DRAM — each chunk boundary is a buffer swap.
-    auto chunked = [&](size_t total, auto&& body) {
-        for (size_t pos = 0; pos < total; pos += kPeBufferValues) {
-            const size_t len = std::min(kPeBufferValues, total - pos);
-            body(pos, len);
-            ++counters_.buffer_swaps;
-        }
-    };
-
-    // Each PE executes the same compiled bytecode chain the CPU path
-    // runs, one fused pass per stream; the unit counters stay
-    // analytically exact because the per-value op counts of a fused
-    // chain equal the sum of its constituent ops.
-    for (const CompiledOutput& out : prog.outputs()) {
-        switch (out.kind) {
-          case PlanOutput::Kind::kLabel: {
-            const auto& col = raw.dense(out.source);
-            mb.labels.assign(col.values().begin(), col.values().end());
-            counters_.convert_values += batch;  // labels through DMA-out
-            break;
-          }
-          case PlanOutput::Kind::kDense: {
-            // Generation + dense Normalization unit: FillMissing + Log
-            // fused in the PE pipeline, strided DMA-out gather.
-            engageUnit(out.unit_stream);
-            const auto& col = raw.dense(out.source);
-            chunked(batch, [&](size_t pos, size_t len) {
-                prog.runDenseRange(
-                    out, col.values().data() + pos, len,
-                    mb.dense.data() + pos * prog.numDense() + out.slot,
-                    prog.numDense());
-            });
-            counters_.log_values += batch;
-            counters_.convert_values += batch;
-            break;
-          }
-          case PlanOutput::Kind::kSparse: {
-            // Sparse Normalization unit: SigridHash straight from the
-            // decoded stream into the output tensor.
-            engageUnit(out.unit_stream);
-            const auto& col = raw.sparse(out.source);
-            auto& jag = mb.sparse[out.slot];
-            jag.feature_name = out.name;
-            jag.values.resize(col.numValues());
-            chunked(jag.values.size(), [&](size_t pos, size_t len) {
-                prog.runHashRange(out, col.values().data() + pos, len,
-                                  jag.values.data() + pos);
-            });
-            counters_.hash_values += jag.values.size();
-            jag.lengths.resize(batch);
-            for (size_t r = 0; r < batch; ++r)
-                jag.lengths[r] = static_cast<uint32_t>(col.rowLength(r));
-            counters_.convert_values += jag.values.size();
-            break;
-          }
-          case PlanOutput::Kind::kGenerated: {
-            // Rides its source dense feature's unit: Fill + Bucketize +
-            // SigridHash in one fused PE pass over the decoded stream.
-            engageUnit(out.unit_stream);
-            const auto& col = raw.dense(out.source);
-            auto& jag = mb.sparse[out.slot];
-            jag.feature_name = out.name;
-            jag.values.resize(batch);
-            chunked(batch, [&](size_t pos, size_t len) {
-                prog.runGeneratedRange(out, col.values().data() + pos,
-                                       len, jag.values.data() + pos);
-            });
-            counters_.bucketize_values += batch;
-            counters_.bucketize_levels += batch * levels;
-            counters_.hash_values += batch;
-            jag.lengths.assign(batch, 1);
-            counters_.convert_values += batch;
-            break;
-          }
-        }
+    // Each PE streams its output through double-buffered halves of
+    // kPeBufferValues values; every half is one buffer swap.
+    uint64_t sparse_values = 0;
+    for (const CompiledOutput& out : program_.outputs()) {
+        if (out.kind == PlanOutput::Kind::kLabel)
+            continue;
+        const uint64_t n = out.kind == PlanOutput::Kind::kDense
+                               ? mb.batch_size
+                               : mb.sparse[out.slot].values.size();
+        counters_.buffer_swaps += (n + kPeBufferValues - 1) / kPeBufferValues;
+        if (out.kind == PlanOutput::Kind::kGenerated)
+            counters_.bucketize_values += n;
+        else if (out.kind == PlanOutput::Kind::kSparse)
+            sparse_values += n;
     }
-
-    for (char used : unit_used_)
-        counters_.feature_units_used += used != 0;
-
-    PRESTO_CHECK(mb.consistent(), "emulator produced a bad batch");
+    counters_.bucketize_levels =
+        counters_.bucketize_values * bucketize_levels_;
+    counters_.log_values = mb.dense.size();
+    counters_.hash_values = sparse_values + counters_.bucketize_values;
+    counters_.convert_values =
+        mb.labels.size() + mb.dense.size() + counters_.hash_values;
+    counters_.feature_units_used = feature_units_used_;
     return Status::okStatus();
 }
 

@@ -5,16 +5,16 @@
  * elements with double buffering, and a conversion/DMA-out stage —
  * executed in software over real encoded partitions.
  *
- * The emulator's outputs are bit-identical to the plain Preprocessor
- * path (verified in tests); its value is (a) validating that the
- * microarchitecture's dataflow computes the right thing and (b)
- * producing per-unit work counters that cross-check the analytical
- * TransformWork model priced by models/isp_model.
- *
- * The datapath executes the same compiled bytecode program as the CPU
- * path (ops/opvm.h), streamed through the PEs in double-buffered
- * kPeBufferValues chunks — the PE's fused pipeline is exactly a fused
- * op chain, so emulation and CPU execution share one lowering.
+ * PreSto changes where the Transform runs, never what it computes, so
+ * the device runs the CPU path's compiled program (ops/opvm.h) over
+ * the batch its Decoder unit produced: the emulator's MiniBatches are
+ * the CPU path's by construction. What the emulator adds is the
+ * per-unit work counters, derived from the program's outputs and the
+ * decoded batch: values per unit from the output sizes, one buffer
+ * swap per kPeBufferValues-value half of each PE stream, and the PEs
+ * engaged under a feature-to-unit assignment fixed at construction.
+ * They cross-check the analytical TransformWork model priced by
+ * models/isp_model.
  */
 #ifndef PRESTO_CORE_ISP_EMULATOR_H_
 #define PRESTO_CORE_ISP_EMULATOR_H_
@@ -25,9 +25,9 @@
 #include "columnar/columnar_file.h"
 #include "common/batch_arena.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "datagen/rm_config.h"
-#include "ops/fast_ops.h"
-#include "ops/preprocessor.h"
+#include "ops/opvm.h"
 #include "tabular/minibatch.h"
 #include "tabular/row_batch.h"
 
@@ -60,7 +60,9 @@ class IspEmulator
     /**
      * @param config Workload (selects the transform plan).
      * @param num_feature_units PEs available for inter-feature
-     *        parallelism (features are assigned round-robin).
+     *        parallelism. Each dense feature has its own stream (a
+     *        generated output rides its source feature's stream), raw
+     *        sparse features follow; stream i runs on PE i mod units.
      * @param decode_pool Optional thread pool for page-parallel decode
      *        (models the Decoder unit working on independent pages
      *        concurrently). nullptr keeps decode serial. The pool may
@@ -92,13 +94,14 @@ class IspEmulator
 
   private:
     RmConfig config_;
-    int num_feature_units_;
-    Preprocessor reference_plan_;  ///< owns the compiled standard program
+    CompiledProgram program_;          ///< the CPU path's standard program
+    uint32_t feature_units_used_ = 0;  ///< PEs the program's streams engage
+    uint64_t bucketize_levels_;        ///< search depth per bucketized value
     IspUnitCounters counters_;
     // Device DRAM stand-ins, reused across partitions.
     ColumnarFileReader reader_;
     RowBatch raw_;
-    std::vector<char> unit_used_;  ///< per-PE engagement scratch
+    BatchArena arena_;
 };
 
 }  // namespace presto

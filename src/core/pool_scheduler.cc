@@ -20,8 +20,6 @@ rejectKindName(RejectKind kind)
         return "demand_exceeds_pool";
     case RejectKind::kCapacityLost:
         return "capacity_lost";
-    case RejectKind::kSloBudget:
-        return "slo_budget";
     }
     return "unknown";
 }
@@ -179,40 +177,6 @@ PoolScheduler::runImpl(std::vector<PoolJob> jobs,
             continue;
         }
         sim.scheduleAt(job.arrival_sec, [&, idx] {
-            // SLO admission: the committed work ahead of this job,
-            // spread over the whole pool, is the optimistic lower bound
-            // on its wait for capacity. A job whose budget is already
-            // blown by that bound is rejected up front instead of
-            // queueing into a promise the pool cannot keep.
-            double outstanding_device_sec = 0;
-            for (size_t j = 0; j < jobs.size(); ++j) {
-                if (running[j]) {
-                    outstanding_device_sec +=
-                        alloc[j] *
-                        std::max(0.0, result.jobs[j].finish_sec - sim.now());
-                }
-            }
-            for (const size_t queued : admission_queue) {
-                outstanding_device_sec +=
-                    result.jobs[queued].devices * jobs[queued].duration_sec;
-            }
-            PoolJobResult& job_result = result.jobs[idx];
-            job_result.projected_wait_sec =
-                outstanding_device_sec / pool_size_;
-            if (jobs[idx].max_wait_slo_sec > 0 &&
-                job_result.projected_wait_sec > jobs[idx].max_wait_slo_sec) {
-                job_result.reject_reason =
-                    "projected wait of " +
-                    std::to_string(job_result.projected_wait_sec) +
-                    "s exceeds admission SLO budget of " +
-                    std::to_string(jobs[idx].max_wait_slo_sec) + "s";
-                job_result.reject_kind = RejectKind::kSloBudget;
-                job_result.devices = 0;
-                job_result.rejected = true;
-                job_result.start_sec = job_result.finish_sec =
-                    job_result.arrival_sec;
-                return;
-            }
             admission_queue.push_back(idx);
             tryAdmit();
         });

@@ -37,12 +37,6 @@ struct PoolJob {
     double duration_sec = 0;  ///< training time once running
     int rm_id = 1;
     int num_gpus = 8;
-    /**
-     * Admission SLO budget: reject at arrival when the projected wait
-     * for capacity (outstanding committed device-seconds / pool size)
-     * already exceeds this. 0 = no budget (wait forever).
-     */
-    double max_wait_slo_sec = 0;
 };
 
 /** Why a job was rejected (machine-readable form of reject_reason). */
@@ -50,7 +44,6 @@ enum class RejectKind {
     kNone = 0,            ///< not rejected
     kDemandExceedsPool,   ///< can never fit in this pool
     kCapacityLost,        ///< starved by fail-stop capacity loss
-    kSloBudget,           ///< projected wait exceeds max_wait_slo_sec
 };
 
 /** Short stable label of a RejectKind ("none", "demand", ...). */
@@ -66,8 +59,6 @@ struct PoolJobResult {
     bool rejected = false;        ///< never admitted (devices == 0)
     std::string reject_reason;    ///< empty unless rejected
     RejectKind reject_kind = RejectKind::kNone;
-    /** Projected capacity wait computed at arrival (SLO admission). */
-    double projected_wait_sec = 0;
 
     int devices_lost = 0;  ///< fail-stops that hit this job's allocation
     /** Summed wait from each device loss to its replacement grant. */

@@ -303,34 +303,6 @@ CompiledProgram::compile(TransformPlan plan, const Schema& input_schema)
         p.has_fallback_ |= !c.fused;
         p.outputs_.push_back(std::move(c));
     }
-
-    // Feature-unit streams for the ISP emulator: one unit per dense
-    // feature (a generated output rides its source feature's unit, the
-    // two chains read the same decoded stream), raw sparse units after.
-    for (auto& c : p.outputs_) {
-        switch (c.kind) {
-          case PlanOutput::Kind::kLabel:
-            c.unit_stream = 0;
-            break;
-          case PlanOutput::Kind::kDense:
-            c.unit_stream = c.slot;
-            break;
-          case PlanOutput::Kind::kSparse:
-            c.unit_stream = p.num_dense_ + c.slot;
-            break;
-          case PlanOutput::Kind::kGenerated: {
-            c.unit_stream = p.num_dense_ + c.slot;
-            for (const auto& d : p.outputs_) {
-                if (d.kind == PlanOutput::Kind::kDense &&
-                    d.source == c.source) {
-                    c.unit_stream = d.slot;
-                    break;
-                }
-            }
-            break;
-          }
-        }
-    }
     return p;
 }
 
@@ -364,41 +336,6 @@ CompiledProgram::run(const RowBatch& raw, MiniBatch& mb, BatchArena& arena,
     arena.noteBatch();
     PRESTO_CHECK(mb.consistent(),
                  "compiled plan produced an inconsistent batch");
-}
-
-void
-CompiledProgram::runDenseRange(const CompiledOutput& out, const float* src,
-                               size_t n, float* dst, size_t stride) const
-{
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
-    dispatchDense(out.code.data(), out.num_f32, src, n, dst, stride);
-}
-
-void
-CompiledProgram::runHashRange(const CompiledOutput& out, const int64_t* src,
-                              size_t n, int64_t* dst) const
-{
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
-    // The hash stage is the code tail, after the f32 ops and the
-    // bucketize bridge (if any).
-    const OpInstr* hash_ops =
-        out.code.data() + out.code.size() - out.num_hash;
-    dispatchSparse(hash_ops, out.num_hash, src, n, dst);
-}
-
-void
-CompiledProgram::runGeneratedRange(const CompiledOutput& out,
-                                   const float* src, size_t n,
-                                   int64_t* dst) const
-{
-    PRESTO_CHECK(out.fused, "range execution requires a fused chain");
-    const OpInstr& bridge = out.code[out.num_f32];
-    const FastBucketizer& bz = bucketizer(bridge.table);
-    const BucketTable bt{bz.bounds().data(), bz.halves().data(),
-                         bz.halves().size(), bz.bounds().size()};
-    dispatchGenerated(out.code.data(), out.num_f32, bt,
-                      out.code.data() + out.num_f32 + 1, out.num_hash, src,
-                      n, dst);
 }
 
 void

@@ -102,12 +102,6 @@ struct CompiledOutput {
     size_t source = 0;      ///< input column index in the schema
     size_t slot = 0;        ///< dense matrix column or mb.sparse index
     /**
-     * Feature-unit stream id for the ISP emulator: dense outputs get
-     * their dense slot, generated outputs share their source dense
-     * feature's unit, raw sparse outputs follow after the dense units.
-     */
-    size_t unit_stream = 0;
-    /**
      * Combined FirstX cap (min over the chain's FirstX ops; SIZE_MAX
      * when uncapped). Applied while packing input ids — see file
      * comment on why this commutes with the hash chain.
@@ -154,22 +148,6 @@ class CompiledProgram
      */
     void run(const RowBatch& raw, MiniBatch& mb, BatchArena& arena,
              ThreadPool* pool = nullptr) const;
-
-    /**
-     * Chunk-granular entry points for double-buffered PE emulation
-     * (core/isp_emulator): run one fused output's full chain over a
-     * sub-range of its column. Every op is elementwise, so executing a
-     * column in chunks is bit-identical to one run() pass. Panics on
-     * non-fused outputs.
-     * @{
-     */
-    void runDenseRange(const CompiledOutput& out, const float* src,
-                       size_t n, float* dst, size_t stride) const;
-    void runHashRange(const CompiledOutput& out, const int64_t* src,
-                      size_t n, int64_t* dst) const;
-    void runGeneratedRange(const CompiledOutput& out, const float* src,
-                           size_t n, int64_t* dst) const;
-    /** @} */
 
     const std::vector<CompiledOutput>& outputs() const { return outputs_; }
     const TransformPlan& plan() const { return plan_; }

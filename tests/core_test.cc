@@ -10,13 +10,11 @@
 #include <chrono>
 #include <cmath>
 #include <optional>
-#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
-#include "core/data_loader.h"
 #include "core/fleet.h"
 #include "core/managers.h"
 #include "core/partition_producer.h"
@@ -594,64 +592,6 @@ TEST_P(PipelinePerRm, IspBackendInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Rms, PipelinePerRm, ::testing::Range(1, 6));
-
-// --- EpochPartitionLoader ---------------------------------------------------------------
-
-TEST(DataLoaderTest, EachEpochIsAPermutation)
-{
-    EpochPartitionLoader loader(17, 42);
-    for (int epoch = 0; epoch < 3; ++epoch) {
-        std::set<uint64_t> seen;
-        for (int i = 0; i < 17; ++i)
-            seen.insert(loader.next());
-        EXPECT_EQ(seen.size(), 17u);
-        EXPECT_EQ(*seen.begin(), 0u);
-        EXPECT_EQ(*seen.rbegin(), 16u);
-    }
-    EXPECT_EQ(loader.currentEpoch(), 2u);
-}
-
-TEST(DataLoaderTest, EpochsDiffer)
-{
-    EpochPartitionLoader loader(64, 7);
-    EXPECT_NE(loader.epochOrder(0), loader.epochOrder(1));
-    EXPECT_EQ(loader.epochOrder(1), loader.epochOrder(1));
-}
-
-TEST(DataLoaderTest, DeterministicAcrossInstances)
-{
-    EpochPartitionLoader a(32, 9), b(32, 9);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(DataLoaderTest, SeedsChangeOrders)
-{
-    EpochPartitionLoader a(64, 1), b(64, 2);
-    EXPECT_NE(a.epochOrder(0), b.epochOrder(0));
-}
-
-TEST(DataLoaderTest, NoShuffleIsSequential)
-{
-    EpochPartitionLoader loader(5, 3, /*shuffle=*/false);
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        for (uint64_t i = 0; i < 5; ++i)
-            EXPECT_EQ(loader.next(), i);
-    }
-}
-
-TEST(DataLoaderTest, SinglePartitionDataset)
-{
-    EpochPartitionLoader loader(1, 11);
-    EXPECT_EQ(loader.next(), 0u);
-    EXPECT_EQ(loader.next(), 0u);
-    EXPECT_EQ(loader.currentEpoch(), 1u);
-}
-
-TEST(DataLoaderDeathTest, EmptyDatasetPanics)
-{
-    EXPECT_DEATH(EpochPartitionLoader(0, 1), "partition");
-}
 
 // --- FleetModel -----------------------------------------------------------------------
 

@@ -6,9 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
+#include <vector>
+
 #include "columnar/columnar_file.h"
 #include "core/isp_emulator.h"
 #include "datagen/generator.h"
+#include "ops/preprocessor.h"
 
 namespace presto {
 namespace {
@@ -107,6 +112,95 @@ TEST(IspEmulatorTest, FeatureUnitsEngageUpToPoolSize)
     IspEmulator wide(cfg, 64);
     (void)wide.process(encoded);
     EXPECT_EQ(wide.counters().feature_units_used, 11u);  // one per stream
+}
+
+/** Every counter field, as one comparable tuple. */
+auto
+counterFields(const IspUnitCounters& c)
+{
+    return std::make_tuple(c.p2p_bytes, c.decoded_values,
+                           c.bucketize_values, c.bucketize_levels,
+                           c.hash_values, c.log_values, c.convert_values,
+                           c.buffer_swaps, c.feature_units_used);
+}
+
+IspUnitCounters
+countersOf(const RmConfig& cfg, int units)
+{
+    RawDataGenerator gen(cfg);
+    const auto encoded =
+        ColumnarFileWriter().write(gen.generatePartition(0), 0);
+    IspEmulator emulator(cfg, units);
+    EXPECT_TRUE(emulator.process(encoded).ok());
+    return emulator.counters();
+}
+
+TEST(IspEmulatorTest, CountersArePinned)
+{
+    // Recorded from the emulator that streamed each output through its
+    // PE in kPeBufferValues chunks and counted inside the chunk loop;
+    // the counters derived from the program's outputs must agree.
+    // Fields: p2p, decoded, bucketize values/levels, hash, log,
+    // convert, buffer swaps, feature units.
+    RmConfig rm1 = rmConfig(1);
+    rm1.batch_size = 8192;
+    IspUnitCounters c = countersOf(rm1, 8);
+    EXPECT_EQ(counterFields(c),
+              std::make_tuple(1661214ull, 327680ull, 106496ull, 1171456ull,
+                              319488ull, 106496ull, 434176ull, 104ull, 8u));
+
+    c = countersOf(emuConfig(2), 2);
+    EXPECT_EQ(counterFields(c),
+              std::make_tuple(51266ull, 8360ull, 288ull, 3168ull, 7880ull,
+                              672ull, 8648ull, 14ull, 2u));
+    c = countersOf(emuConfig(2), 64);
+    EXPECT_EQ(counterFields(c),
+              std::make_tuple(51266ull, 8360ull, 288ull, 3168ull, 7880ull,
+                              672ull, 8648ull, 14ull, 11u));
+
+    c = countersOf(emuConfig(5, 128), 8);
+    EXPECT_EQ(counterFields(c),
+              std::make_tuple(67824ull, 11248ull, 384ull, 4992ull, 10608ull,
+                              896ull, 11632ull, 14ull, 8u));
+}
+
+TEST(IspEmulatorTest, SameDecodedBatchGivesTheCompiledProgramsOutput)
+{
+    const RmConfig cfg = emuConfig(5, 300);
+    RawDataGenerator gen(cfg);
+    const auto encoded =
+        ColumnarFileWriter().write(gen.generatePartition(2), 2);
+
+    // The batch the device's Decoder unit sees, run by the CPU path.
+    ColumnarFileReader reader;
+    ASSERT_TRUE(reader.open(encoded).ok());
+    RowBatch decoded;
+    ASSERT_TRUE(reader.readAllInto(decoded).ok());
+    MiniBatch cpu;
+    BatchArena arena;
+    Preprocessor(cfg).program().run(decoded, cpu, arena);
+
+    IspEmulator emulator(cfg);
+    MiniBatch isp;
+    ASSERT_TRUE(emulator.processInto(encoded, isp).ok());
+
+    // Floats compare bit for bit, so -0.0f and NaN payloads count too.
+    auto sameBits = [](const std::vector<float>& a,
+                       const std::vector<float>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                   0;
+    };
+    EXPECT_EQ(isp.batch_size, cpu.batch_size);
+    EXPECT_EQ(isp.num_dense, cpu.num_dense);
+    EXPECT_TRUE(sameBits(isp.labels, cpu.labels));
+    EXPECT_TRUE(sameBits(isp.dense, cpu.dense));
+    ASSERT_EQ(isp.sparse.size(), cpu.sparse.size());
+    for (size_t i = 0; i < cpu.sparse.size(); ++i) {
+        EXPECT_EQ(isp.sparse[i].feature_name, cpu.sparse[i].feature_name);
+        EXPECT_EQ(isp.sparse[i].lengths, cpu.sparse[i].lengths);
+        EXPECT_EQ(isp.sparse[i].values, cpu.sparse[i].values);
+    }
 }
 
 TEST(IspEmulatorTest, DeterministicAcrossInstances)

@@ -143,38 +143,7 @@ TEST(PoolSchedulerTest, RejectKindsAreTagged)
                  "demand_exceeds_pool");
     EXPECT_STREQ(rejectKindName(RejectKind::kCapacityLost),
                  "capacity_lost");
-    EXPECT_STREQ(rejectKindName(RejectKind::kSloBudget), "slo_budget");
     EXPECT_STREQ(rejectKindName(RejectKind::kNone), "none");
-}
-
-TEST(PoolSchedulerTest, SloBudgetRejectsUpFront)
-{
-    // RM5 occupies the whole 8-device pool for 100s; a job arriving
-    // at t=1 projects a ~99s wait for capacity.
-    PoolScheduler pool(8);
-    PoolJob blocked = job(1, 10, 5);
-    blocked.max_wait_slo_sec = 50.0;
-    PoolJob patient = job(2, 10, 5);
-    patient.max_wait_slo_sec = 300.0;
-    const PoolResult r = pool.run({job(0, 100, 5), blocked, patient});
-
-    EXPECT_FALSE(r.jobs[0].rejected);
-    EXPECT_TRUE(r.jobs[1].rejected);
-    EXPECT_EQ(r.jobs[1].reject_kind, RejectKind::kSloBudget);
-    EXPECT_NE(r.jobs[1].reject_reason.find("SLO budget"),
-              std::string::npos);
-    EXPECT_NEAR(r.jobs[1].projected_wait_sec, 99.0, 1e-9);
-
-    // Same projection, bigger budget: admitted and served after job 0.
-    EXPECT_FALSE(r.jobs[2].rejected);
-    EXPECT_DOUBLE_EQ(r.jobs[2].start_sec, 100.0);
-
-    // A declared budget that the projection honors costs nothing.
-    PoolJob easy = job(0, 10, 5);
-    easy.max_wait_slo_sec = 1.0;
-    const PoolResult idle = pool.run({easy});
-    EXPECT_FALSE(idle.jobs[0].rejected);
-    EXPECT_DOUBLE_EQ(idle.jobs[0].projected_wait_sec, 0.0);
 }
 
 TEST(PoolSchedulerTest, ReplacementRequestsAreCounted)

@@ -20,6 +20,7 @@
 #include "core/isp_emulator.h"
 #include "datagen/generator.h"
 #include "models/isp_model.h"
+#include "ops/preprocessor.h"
 #include "sim/sim_queue.h"
 #include "sim/simulator.h"
 
