@@ -10,8 +10,9 @@
  *   cold     - SegmentStore::readSegment(): journal-recovered plans,
  *              tail pread, then every page frame pread through the
  *              IoRing's device workers;
- *   blocking - SegmentStore::readSegmentBlocking(): whole-file load +
- *              CRC + decode (the non-pipelined reference).
+ *   blocking - SegmentStore::readSegmentRaw() + ColumnarFileReader:
+ *              whole-file load + CRC, then decode (the non-pipelined
+ *              reference).
  *
  * Every path is differentially checked against the generator's batch
  * before timing, so a throughput number can never be reported for a
@@ -46,6 +47,16 @@ now()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** The blocking path: whole-file CRC-checked load, then full decode. */
+bool
+readBlocking(SegmentStore& store, uint64_t segment_id, RowBatch& out)
+{
+    auto bytes = store.readSegmentRaw(segment_id);
+    ColumnarFileReader reader;
+    return bytes.ok() && reader.open(*bytes).ok() &&
+           reader.readAllInto(out).ok();
 }
 
 }  // namespace
@@ -127,9 +138,7 @@ main(int argc, char** argv)
         if (!reader.read(encoded[pid], pid, memory).ok() ||
             !(*store)->readSegment(info->meta.segment_id, reader, cold)
                  .ok() ||
-            !(*store)
-                 ->readSegmentBlocking(info->meta.segment_id, blocking)
-                 .ok() ||
+            !readBlocking(**store, info->meta.segment_id, blocking) ||
             !(memory == expect) || !(cold == expect) ||
             !(blocking == expect)) {
             std::fprintf(stderr,
@@ -171,9 +180,7 @@ main(int argc, char** argv)
         for (uint64_t pid = 0; pid < kPartitions; ++pid) {
             auto info = (*store)->segmentForPartition(pid);
             if (!info.ok() ||
-                !(*store)
-                     ->readSegmentBlocking(info->meta.segment_id, out)
-                     .ok())
+                !readBlocking(**store, info->meta.segment_id, out))
                 return 1;
         }
         blocking_wall = std::min(blocking_wall, now() - start);

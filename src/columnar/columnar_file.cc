@@ -805,8 +805,8 @@ Status
 saveToFile(const std::string& path, std::span<const uint8_t> bytes)
 {
     // Crash-atomic publish (temp + fsync + rename + dir fsync): readers
-    // of a partition or manifest either see the previous complete file
-    // or the new complete one, never a torn prefix.
+    // either see the previous complete file or the new complete one,
+    // never a torn prefix.
     return writeFileDurable(path, bytes);
 }
 

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <set>
+#include <string_view>
 
 #include <dirent.h>
 #include <unistd.h>
@@ -27,11 +28,24 @@ segmentFileName(uint64_t segment_id)
     return buf;
 }
 
+/**
+ * True for the names this store writes besides JOURNAL itself:
+ * JOURNAL.tmp, seg-<n>.psf and seg-<n>.psf.tmp. Recovery deletes only
+ * these, so files it never wrote survive in a shared directory.
+ */
 bool
-endsWith(const std::string& s, const std::string& suffix)
+isStoreFileName(std::string_view name)
 {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+    const bool is_tmp = name.ends_with(".tmp");
+    if (is_tmp)
+        name.remove_suffix(4);
+    if (name == kJournalName)
+        return is_tmp;
+    if (!name.starts_with("seg-") || !name.ends_with(".psf"))
+        return false;
+    const std::string_view id = name.substr(4, name.size() - 8);
+    return !id.empty() &&
+           id.find_first_not_of("0123456789") == std::string_view::npos;
 }
 
 /** Plain names of regular files in @p dir (no error is fatal here). */
@@ -132,12 +146,12 @@ SegmentStore::recover(RecoveryReport& report)
     const std::string jpath = journalPath();
     auto jsize = fileSizeOf(jpath);
     if (!jsize.ok()) {
-        // No journal means no store: nothing in the directory can be
-        // trusted (e.g. a torn JOURNAL.tmp from a crash during the very
-        // first initialization), so sweep leftovers before starting
+        // No journal means no store: no file of the store's naming can
+        // be trusted (e.g. a torn JOURNAL.tmp from a crash during the
+        // very first initialization), so sweep those before starting
         // fresh. This publish is the one durable op an open may issue.
         for (const std::string& name : listDir(options_.directory)) {
-            if (!endsWith(name, ".tmp") && !endsWith(name, ".psf"))
+            if (!isStoreFileName(name))
                 continue;
             if (::unlink((options_.directory + "/" + name).c_str()) == 0)
                 report.orphans_removed.push_back(name);
@@ -248,13 +262,7 @@ SegmentStore::recover(RecoveryReport& report)
         }
     }
     for (const std::string& name : listDir(options_.directory)) {
-        if (name == kJournalName)
-            continue;
-        const bool is_tmp = endsWith(name, ".tmp");
-        const bool is_segment = endsWith(name, ".psf");
-        if (!is_tmp && !is_segment)
-            continue;
-        if (is_segment && referenced.count(name) > 0)
+        if (!isStoreFileName(name) || referenced.count(name) > 0)
             continue;
         if (::unlink((options_.directory + "/" + name).c_str()) == 0)
             report.orphans_removed.push_back(name);
@@ -463,36 +471,6 @@ SegmentStore::readSegment(uint64_t segment_id, AsyncPartitionReader& reader,
 }
 
 Status
-SegmentStore::readSegmentBlocking(uint64_t segment_id, RowBatch& out)
-{
-    SegmentInfo info;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto got = segmentLocked(segment_id);
-        if (!got.ok())
-            return got.status();
-        info = std::move(got).value();
-    }
-    auto bytes = loadFromFile(segmentPath(info.meta));
-    Status st = bytes.status();
-    if (st.ok() &&
-        crc32c(bytes->data(), bytes->size()) != info.meta.file_crc) {
-        st = Status::corruption("segment checksum mismatch");
-    }
-    if (st.ok()) {
-        ColumnarFileReader reader;
-        st = reader.open(*bytes);
-        if (st.ok())
-            st = reader.readAllInto(out);
-    }
-    if (st.code() == StatusCode::kCorruption) {
-        std::lock_guard<std::mutex> lock(mu_);
-        (void)quarantineLocked(segment_id, st.message());
-    }
-    return st;
-}
-
-Status
 SegmentStore::retireSegment(uint64_t segment_id)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -540,9 +518,13 @@ SegmentStore::compactOnce()
     if (!found)
         return uint64_t{0};
 
+    auto bytes = readSegmentRaw(candidate.meta.segment_id);
+    if (!bytes.ok())
+        return bytes.status();
+    ColumnarFileReader reader;
     RowBatch batch;
-    PRESTO_RETURN_IF_ERROR(
-        readSegmentBlocking(candidate.meta.segment_id, batch));
+    PRESTO_RETURN_IF_ERROR(reader.open(*bytes));
+    PRESTO_RETURN_IF_ERROR(reader.readAllInto(batch));
     ColumnarFileWriter writer(options_.writer);
     const auto rewritten =
         writer.write(batch, candidate.meta.partition_id);

@@ -21,11 +21,13 @@
  *
  * Recovery (open()) replays the journal, drops its torn tail, derives
  * every segment's state from the intact record prefix, deletes orphans
- * and stray temp files, verifies each live segment file's size + whole-
- * file CRC against its sealed meta (failures => quarantined, reported,
- * never served), and rebuilds the in-memory manifest. Recovery never
- * writes the journal, so recovering twice — or crashing mid-recovery
- * and recovering again — is idempotent by construction.
+ * and stray temp files (only names the store itself writes; other
+ * files in the directory are left alone), verifies each live segment
+ * file's size + whole-file CRC against its sealed meta (failures =>
+ * quarantined, reported, never served), and rebuilds the in-memory
+ * manifest. Recovery never writes the journal, so recovering twice — or
+ * crashing mid-recovery and recovering again — is idempotent by
+ * construction.
  *
  * Reads go through the IoRing: a cold read preads the file tail
  * (footer) plus each planned page frame through the ring's device
@@ -149,10 +151,6 @@ class SegmentStore
     Status readSegment(uint64_t segment_id, AsyncPartitionReader& reader,
                        RowBatch& out);
 
-    /** Whole-file blocking read + decode (no ring); same quarantine
-        behavior. */
-    Status readSegmentBlocking(uint64_t segment_id, RowBatch& out);
-
     /** Mark a segment retired and delete its file. */
     Status retireSegment(uint64_t segment_id);
 
@@ -196,7 +194,8 @@ class SegmentStore
      * Whole-file blocking read of a live segment's encoded PSF bytes,
      * CRC-verified against the sealed meta (mismatch quarantines), not
      * decoded. The cold-tier path: lets a partition cache re-load
-     * encoded bytes off disk without paying a decode.
+     * encoded bytes off disk without paying a decode. Compaction and
+     * presto_cli decode what it returns.
      */
     StatusOr<std::vector<uint8_t>> readSegmentRaw(uint64_t segment_id);
 

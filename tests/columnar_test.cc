@@ -7,11 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <filesystem>
 #include <limits>
 
 #include "columnar/columnar_file.h"
-#include "columnar/dataset.h"
 #include "columnar/encoding.h"
 #include "columnar/page.h"
 #include "common/crc32.h"
@@ -605,96 +603,6 @@ TEST(FileTest, CompressedFileDecodesBitIdenticalToUncompressed)
         EXPECT_EQ(a, b) << "RM" << rm;
         EXPECT_EQ(a, batch) << "RM" << rm;
     }
-}
-
-TEST(FileTest, DatasetWriterHonorsCodecOption)
-{
-    const RowBatch batch = smallBatch(3, 256);
-    const std::string lz_dir = ::testing::TempDir() + "psf_ds_lz";
-    const std::string off_dir = ::testing::TempDir() + "psf_ds_off";
-    std::filesystem::create_directories(lz_dir);
-    std::filesystem::create_directories(off_dir);
-
-    DatasetWriter lz_writer(lz_dir);
-    WriterOptions off;
-    off.codec = PageCodec::kNone;
-    DatasetWriter off_writer(off_dir, off);
-    ASSERT_TRUE(lz_writer.addPartition(batch, 0).ok());
-    ASSERT_TRUE(off_writer.addPartition(batch, 0).ok());
-    ASSERT_TRUE(lz_writer.finish().ok());
-    ASSERT_TRUE(off_writer.finish().ok());
-
-    DatasetReader lz_ds, off_ds;
-    ASSERT_TRUE(lz_ds.open(lz_dir).ok());
-    ASSERT_TRUE(off_ds.open(off_dir).ok());
-    EXPECT_LT(lz_ds.manifest().partitions[0].byte_size,
-              off_ds.manifest().partitions[0].byte_size);
-    auto a = lz_ds.readPartition(0);
-    auto b = off_ds.readPartition(0);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
-    EXPECT_EQ(*a, batch);
-}
-
-// --- manifest durability ----------------------------------------------------
-
-/** Write a three-partition dataset into a fresh temp dir. */
-std::string
-writeDataset(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    DatasetWriter writer(dir);
-    for (uint64_t p = 0; p < 3; ++p)
-        EXPECT_TRUE(writer.addPartition(smallBatch(1, 64, p), p).ok());
-    EXPECT_TRUE(writer.finish().ok());
-    return dir;
-}
-
-TEST(FileTest, TruncatedManifestIsCorruption)
-{
-    // Regression: a torn manifest must read as corruption at open()
-    // time — never as a shorter-but-valid dataset. Truncate at every
-    // byte offset; only the full file may open.
-    const std::string dir = writeDataset("psf_ds_torn");
-    const std::string manifest = dir + "/MANIFEST";
-    auto full = loadFromFile(manifest);
-    ASSERT_TRUE(full.ok());
-    for (size_t keep = 0; keep < full->size(); ++keep) {
-        std::vector<uint8_t> torn(full->begin(), full->begin() + keep);
-        ASSERT_TRUE(saveToFile(manifest, torn).ok());
-        DatasetReader reader;
-        const Status st = reader.open(dir);
-        EXPECT_FALSE(st.ok()) << "opened with " << keep << " bytes";
-    }
-    ASSERT_TRUE(saveToFile(manifest, *full).ok());
-    DatasetReader reader;
-    ASSERT_TRUE(reader.open(dir).ok());
-    EXPECT_EQ(reader.manifest().partitions.size(), 3u);
-}
-
-TEST(FileTest, ManifestBitFlipIsCorruption)
-{
-    const std::string dir = writeDataset("psf_ds_flip");
-    const std::string manifest = dir + "/MANIFEST";
-    auto full = loadFromFile(manifest);
-    ASSERT_TRUE(full.ok());
-    // Flip one digit of a partition line (keeps the line parseable).
-    std::vector<uint8_t> damaged = *full;
-    const size_t second_line = std::string(full->begin(), full->end())
-                                   .find('\n') + 1;
-    for (size_t i = second_line; i < damaged.size(); ++i) {
-        if (damaged[i] >= '0' && damaged[i] <= '8') {
-            ++damaged[i];
-            break;
-        }
-    }
-    ASSERT_NE(damaged, *full);
-    ASSERT_TRUE(saveToFile(manifest, damaged).ok());
-    DatasetReader reader;
-    EXPECT_EQ(reader.open(dir).code(), StatusCode::kCorruption);
 }
 
 // --- footer-only open (tail) and external plan validation -------------------

@@ -1,14 +1,10 @@
 /**
  * @file
- * Tests for the row-oriented (RSF) baseline format and the dataset
- * directory (manifest + partitions).
+ * Tests for the row-oriented (RSF) baseline format.
  */
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "columnar/columnar_file.h"
-#include "columnar/dataset.h"
 #include "columnar/row_file.h"
 #include "datagen/generator.h"
 
@@ -122,129 +118,6 @@ TEST(RowFileTest, RowFormatBiggerOrSimilarButNeverSelective)
     ASSERT_TRUE(col_reader.open(psf).ok());
     ASSERT_TRUE(col_reader.readColumns({"dense_0"}).ok());
     EXPECT_LT(col_reader.bytesTouched() * 10, rsf.size());
-}
-
-// --- Dataset --------------------------------------------------------------------
-
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
-
-TEST(DatasetTest, WriteAndReadBack)
-{
-    const std::string dir = freshDir("dataset_roundtrip");
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 64;
-    RawDataGenerator gen(cfg);
-
-    DatasetWriter writer(dir);
-    for (uint64_t p = 0; p < 3; ++p)
-        ASSERT_TRUE(writer.addPartition(gen.generatePartition(p), p).ok());
-    ASSERT_TRUE(writer.finish().ok());
-
-    DatasetReader reader;
-    ASSERT_TRUE(reader.open(dir).ok());
-    EXPECT_EQ(reader.manifest().num_partitions, 3u);
-    EXPECT_EQ(reader.manifest().rows_per_partition, 64u);
-    for (size_t i = 0; i < 3; ++i) {
-        auto batch = reader.readPartition(i);
-        ASSERT_TRUE(batch.ok());
-        EXPECT_EQ(*batch, gen.generatePartition(i));
-    }
-}
-
-TEST(DatasetTest, RejectsDuplicateAndUnevenPartitions)
-{
-    const std::string dir = freshDir("dataset_invalid");
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 32;
-    RawDataGenerator gen(cfg);
-    DatasetWriter writer(dir);
-    ASSERT_TRUE(writer.addPartition(gen.generatePartition(0), 0).ok());
-    EXPECT_EQ(writer.addPartition(gen.generatePartition(1), 0).code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(writer
-                  .addPartition(gen.generatePartition(1, 16), 1)
-                  .code(),
-              StatusCode::kInvalidArgument);
-}
-
-TEST(DatasetTest, FinishIsOneShot)
-{
-    const std::string dir = freshDir("dataset_finish");
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 16;
-    RawDataGenerator gen(cfg);
-    DatasetWriter writer(dir);
-    ASSERT_TRUE(writer.addPartition(gen.generatePartition(0), 0).ok());
-    ASSERT_TRUE(writer.finish().ok());
-    EXPECT_EQ(writer.finish().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(writer.addPartition(gen.generatePartition(1), 1).code(),
-              StatusCode::kFailedPrecondition);
-}
-
-TEST(DatasetTest, DetectsTamperedPartitionFile)
-{
-    const std::string dir = freshDir("dataset_tamper");
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 32;
-    RawDataGenerator gen(cfg);
-    DatasetWriter writer(dir);
-    ASSERT_TRUE(writer.addPartition(gen.generatePartition(0), 0).ok());
-    ASSERT_TRUE(writer.finish().ok());
-
-    DatasetReader reader;
-    ASSERT_TRUE(reader.open(dir).ok());
-    const std::string part_path =
-        dir + "/" + reader.manifest().partitions[0].file_name;
-    auto bytes = loadFromFile(part_path);
-    ASSERT_TRUE(bytes.ok());
-    (*bytes)[bytes->size() / 2] ^= 0x04;
-    ASSERT_TRUE(saveToFile(part_path, *bytes).ok());
-
-    EXPECT_EQ(reader.readPartition(0).status().code(),
-              StatusCode::kCorruption);
-}
-
-TEST(DatasetTest, MissingManifestIsNotFound)
-{
-    const std::string dir = freshDir("dataset_empty");
-    DatasetReader reader;
-    EXPECT_EQ(reader.open(dir).code(), StatusCode::kNotFound);
-}
-
-TEST(DatasetTest, OutOfRangePartitionIndex)
-{
-    const std::string dir = freshDir("dataset_range");
-    RmConfig cfg = rmConfig(1);
-    cfg.batch_size = 16;
-    RawDataGenerator gen(cfg);
-    DatasetWriter writer(dir);
-    ASSERT_TRUE(writer.addPartition(gen.generatePartition(0), 0).ok());
-    ASSERT_TRUE(writer.finish().ok());
-    DatasetReader reader;
-    ASSERT_TRUE(reader.open(dir).ok());
-    EXPECT_EQ(reader.readPartition(5).status().code(),
-              StatusCode::kOutOfRange);
-}
-
-TEST(DatasetTest, CorruptManifestDetected)
-{
-    const std::string dir = freshDir("dataset_badmanifest");
-    const std::string text = "NOTADATASET 1 0 0\n";
-    ASSERT_TRUE(saveToFile(dir + "/MANIFEST",
-                           std::span<const uint8_t>(
-                               reinterpret_cast<const uint8_t*>(
-                                   text.data()),
-                               text.size()))
-                    .ok());
-    DatasetReader reader;
-    EXPECT_EQ(reader.open(dir).code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -57,6 +57,18 @@ freshDir(const std::string& name)
     return dir;
 }
 
+/** Whole-file CRC-checked read of a segment, decoded into @p out. */
+Status
+readDecoded(SegmentStore& store, uint64_t segment_id, RowBatch& out)
+{
+    auto bytes = store.readSegmentRaw(segment_id);
+    if (!bytes.ok())
+        return bytes.status();
+    ColumnarFileReader reader;
+    PRESTO_RETURN_IF_ERROR(reader.open(*bytes));
+    return reader.readAllInto(out);
+}
+
 std::vector<std::string>
 listDir(const std::string& dir)
 {
@@ -176,8 +188,7 @@ verifyRecovered(const std::string& dir, const WorkloadOutcome& out)
         ASSERT_TRUE(info.ok()) << "committed partition " << pid
                                << " lost: " << info.status().message();
         RowBatch got;
-        ASSERT_TRUE(
-            (*store)->readSegmentBlocking(info->meta.segment_id, got).ok());
+        ASSERT_TRUE(readDecoded(**store, info->meta.segment_id, got).ok());
         EXPECT_TRUE(got == gen.generatePartition(pid)) << pid;
     }
     for (uint64_t pid : out.retired) {
@@ -194,8 +205,7 @@ verifyRecovered(const std::string& dir, const WorkloadOutcome& out)
             continue;
         referenced.insert(info.meta.file_name);
         RowBatch got;
-        ASSERT_TRUE(
-            (*store)->readSegmentBlocking(info.meta.segment_id, got).ok());
+        ASSERT_TRUE(readDecoded(**store, info.meta.segment_id, got).ok());
         EXPECT_TRUE(got == gen.generatePartition(info.meta.partition_id));
     }
 

@@ -43,6 +43,18 @@ freshDir(const std::string& name)
     return dir;
 }
 
+/** Whole-file CRC-checked read of a segment, decoded into @p out. */
+Status
+readDecoded(SegmentStore& store, uint64_t segment_id, RowBatch& out)
+{
+    auto bytes = store.readSegmentRaw(segment_id);
+    if (!bytes.ok())
+        return bytes.status();
+    ColumnarFileReader reader;
+    PRESTO_RETURN_IF_ERROR(reader.open(*bytes));
+    return reader.readAllInto(out);
+}
+
 // --- journal-level properties ------------------------------------------------
 
 std::vector<JournalRecord>
@@ -320,9 +332,7 @@ TEST(StoreRecoveryTest, JournalTruncatedAtEveryOffsetRecoversThePrefix)
         if (cut % 17 == 0 || cut < 8 || cut + 8 > c.journal.size()) {
             for (const SegmentInfo& info : listed) {
                 RowBatch got;
-                ASSERT_TRUE((*store)
-                                ->readSegmentBlocking(info.meta.segment_id,
-                                                      got)
+                ASSERT_TRUE(readDecoded(**store, info.meta.segment_id, got)
                                 .ok());
                 EXPECT_TRUE(got ==
                             gen.generatePartition(info.meta.partition_id));
@@ -397,7 +407,7 @@ TEST(StoreRecoveryTest, DamagedSegmentFileIsQuarantinedNeverServed)
     RawDataGenerator gen(smallConfig());
     const uint64_t bad_id = report.quarantined[0];
     RowBatch out;
-    EXPECT_EQ((*store)->readSegmentBlocking(bad_id, out).code(),
+    EXPECT_EQ(readDecoded(**store, bad_id, out).code(),
               StatusCode::kUnavailable);
     for (const SegmentInfo& info : (*store)->listSegments()) {
         if (info.meta.segment_id == bad_id) {
@@ -405,8 +415,7 @@ TEST(StoreRecoveryTest, DamagedSegmentFileIsQuarantinedNeverServed)
             continue;
         }
         RowBatch got;
-        ASSERT_TRUE(
-            (*store)->readSegmentBlocking(info.meta.segment_id, got).ok());
+        ASSERT_TRUE(readDecoded(**store, info.meta.segment_id, got).ok());
         EXPECT_TRUE(got == gen.generatePartition(info.meta.partition_id));
     }
 }
@@ -430,6 +439,46 @@ TEST(StoreRecoveryTest, StrayFilesAreSweptOnRecovery)
     EXPECT_TRUE(fileSizeOf(c.dir + "/notes.txt").ok());  // not ours
     EXPECT_EQ(report.live_segments, 3u);
     EXPECT_TRUE(report.quarantined.empty());
+}
+
+// Files the store did not name are not its to delete: recovery sweeps
+// only JOURNAL.tmp and seg-<n>.psf[.tmp].
+TEST(StoreRecoveryTest, ForeignPsfSurvivesOpenWithoutJournal)
+{
+    const std::string dir = freshDir("store_foreign_fresh");
+    const std::vector<uint8_t> foreign{1, 2, 3};
+    ASSERT_TRUE(saveToFile(dir + "/part-00000000.psf", foreign).ok());
+
+    SegmentStoreOptions opt;
+    opt.directory = dir;
+    RecoveryReport report;
+    auto store = SegmentStore::open(opt, &report);
+    ASSERT_TRUE(store.ok());
+    EXPECT_TRUE(report.orphans_removed.empty());
+    auto kept = loadFromFile(dir + "/part-00000000.psf");
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(*kept, foreign);
+}
+
+TEST(StoreRecoveryTest, ForeignPsfSurvivesRecoveryBesideALiveStore)
+{
+    const Canonical c = buildCanonicalStore("store_foreign_live");
+    const std::vector<uint8_t> foreign{1, 2, 3};
+    ASSERT_TRUE(saveToFile(c.dir + "/part-00000000.psf", foreign).ok());
+    ASSERT_TRUE(saveToFile(c.dir + "/part-00000000.psf.tmp", foreign).ok());
+
+    SegmentStoreOptions opt;
+    opt.directory = c.dir;
+    RecoveryReport report;
+    auto store = SegmentStore::open(opt, &report);
+    ASSERT_TRUE(store.ok());
+    EXPECT_TRUE(report.orphans_removed.empty());
+    EXPECT_EQ(report.live_segments, 3u);
+    for (const char* name : {"/part-00000000.psf", "/part-00000000.psf.tmp"}) {
+        auto kept = loadFromFile(c.dir + name);
+        ASSERT_TRUE(kept.ok()) << name;
+        EXPECT_EQ(*kept, foreign) << name;
+    }
 }
 
 }  // namespace

@@ -58,6 +58,18 @@ openStore(const std::string& dir, RecoveryReport* report = nullptr)
     return std::move(*store);
 }
 
+/** Whole-file CRC-checked read of a segment, decoded into @p out. */
+Status
+readDecoded(SegmentStore& store, uint64_t segment_id, RowBatch& out)
+{
+    auto bytes = store.readSegmentRaw(segment_id);
+    if (!bytes.ok())
+        return bytes.status();
+    ColumnarFileReader reader;
+    PRESTO_RETURN_IF_ERROR(reader.open(*bytes));
+    return reader.readAllInto(out);
+}
+
 bool
 fileExists(const std::string& path)
 {
@@ -75,7 +87,7 @@ TEST(SegmentStoreTest, AppendReadRoundTripBlockingAndRing)
     ASSERT_TRUE(id.ok()) << id.status().message();
 
     RowBatch via_blocking;
-    ASSERT_TRUE(store->readSegmentBlocking(*id, via_blocking).ok());
+    ASSERT_TRUE(readDecoded(*store, *id, via_blocking).ok());
     EXPECT_TRUE(via_blocking == batch);
 
     IoRing ring;
@@ -140,8 +152,7 @@ TEST(SegmentStoreTest, ReopenRebuildsTheSameManifest)
         auto info = store->segmentForPartition(pid);
         ASSERT_TRUE(info.ok());
         RowBatch got;
-        ASSERT_TRUE(
-            store->readSegmentBlocking(info->meta.segment_id, got).ok());
+        ASSERT_TRUE(readDecoded(*store, info->meta.segment_id, got).ok());
         EXPECT_TRUE(got == gen.generatePartition(pid)) << pid;
     }
 }
@@ -164,7 +175,7 @@ TEST(SegmentStoreTest, RetireDeletesTheFileAndSurvivesReopen)
         EXPECT_EQ(store->segmentForPartition(0).status().code(),
                   StatusCode::kNotFound);
         RowBatch out;
-        EXPECT_EQ(store->readSegmentBlocking(id, out).code(),
+        EXPECT_EQ(readDecoded(*store, id, out).code(),
                   StatusCode::kNotFound);
         // Retiring again is a no-op, not an error.
         EXPECT_TRUE(store->retireSegment(id).ok());
@@ -206,7 +217,7 @@ TEST(SegmentStoreTest, CompactOnceRewritesSmallerAndRetiresTheOld)
     EXPECT_FALSE(fileExists(old_path));  // old segment retired
 
     RowBatch got;
-    ASSERT_TRUE(store->readSegmentBlocking(*new_id, got).ok());
+    ASSERT_TRUE(readDecoded(*store, *new_id, got).ok());
     EXPECT_TRUE(got == batch);
 
     // The rewrite is already tight: nothing further to compact.
@@ -251,7 +262,7 @@ TEST(SegmentStoreTest, ScrubCountsPagesAndQuarantinesDamage)
 
     // A quarantined segment is never served again.
     RowBatch out;
-    EXPECT_EQ(store->readSegmentBlocking(victim.meta.segment_id, out).code(),
+    EXPECT_EQ(readDecoded(*store, victim.meta.segment_id, out).code(),
               StatusCode::kUnavailable);
     EXPECT_EQ(store->segmentForPartition(victim.meta.partition_id)
                   .status()
@@ -314,9 +325,7 @@ TEST(SegmentStoreTest, CheckpointDropsRetiredHistoryAndReplays)
         auto info = reopened->segmentForPartition(pid);
         ASSERT_TRUE(info.ok()) << pid;
         RowBatch got;
-        ASSERT_TRUE(reopened
-                        ->readSegmentBlocking(info->meta.segment_id, got)
-                        .ok());
+        ASSERT_TRUE(readDecoded(*reopened, info->meta.segment_id, got).ok());
         EXPECT_TRUE(got == gen.generatePartition(pid));
     }
     // The id allocator floor survives the checkpoint: a new segment
@@ -349,8 +358,7 @@ TEST(SegmentStoreTest, ScheduledMaintenanceRunsOneTickAtATime)
             info.state != SegmentState::kCompacted)
             continue;
         RowBatch got;
-        EXPECT_TRUE(
-            store->readSegmentBlocking(info.meta.segment_id, got).ok());
+        EXPECT_TRUE(readDecoded(*store, info.meta.segment_id, got).ok());
     }
 }
 

@@ -2,15 +2,24 @@
  * @file
  * presto_cli — command-line front end for the PreSto library.
  *
+ * A dataset is a segment store directory (docs/STORE.md): a JOURNAL
+ * plus one seg-XXXXXXXX.psf file per committed partition. Every dataset
+ * command opens it through SegmentStore, so recovery runs first, and
+ * reads a partition by id through the journal.
+ *
  * Subcommands:
  *   gen <dir> --rm N [--partitions P] [--rows R] [--seed S]
- *       Synthesize a PSF dataset directory with a manifest.
+ *       Synthesize P partitions (ids 0..P-1) with heat-annotated page
+ *       layout and commit each as a segment of the store in <dir>,
+ *       creating the directory (and its parents) if it is missing.
  *   inspect <dir>
- *       Print the manifest and per-partition layout of a dataset.
+ *       Print the recovery decisions, the segment table and the
+ *       journal records.
  *   verify <dir>
- *       Re-read every partition, checking manifest CRCs and page CRCs.
- *   transform <dir> [--partition I]
- *       Run the standard Transform plan on one partition and summarize
+ *       Decode every live segment in full (whole-file CRC, page CRCs);
+ *       exit 1 on any failure or quarantined segment.
+ *   transform <dir> [--partition I] [--backend cpu|isp]
+ *       Run the standard Transform plan on partition I and summarize
  *       the train-ready tensors.
  *   decode <dir> [--partition I] [--reps N]
  *       Time page decode per (encoding, codec) bucket on one partition,
@@ -29,12 +38,6 @@
  *       (page-granular prefetch), differential-check it against the
  *       blocking reader, and print the ring's counters and latency
  *       percentiles.
- *   store <dir> [--demo N] [--verify 1] [--rm N] [--rows R]
- *       Open (recovering) a persistent segment store: print the
- *       recovery decisions, the segment manifest, and the journal
- *       records. --demo N first commits N synthetic partitions;
- *       --verify 1 re-checksums every page frame of every live
- *       segment.
  *   plan [--rm N] [--file F] [--emit-json]
  *       Compile a Transform plan and print the fused bytecode program's
  *       disassembly. Default: the standard plan for workload RM N.
@@ -51,13 +54,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cachesim/op_traces.h"
 #include "columnar/columnar_file.h"
-#include "columnar/dataset.h"
 #include "columnar/entropy.h"
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -147,10 +152,55 @@ usage()
         "  pages <dir> [--partition I] [--heat] [--channels C]\n"
         "  provision --rm N [--gpus G]\n"
         "  io [--rm N] [--rows R] [--qd D] [--emulate-latency 0|1]\n"
-        "  store <dir> [--demo N] [--verify 1] [--rm N] [--rows R]\n"
         "  plan [--rm N] [--file F] [--emit-json]\n"
-        "  serve [--rm N] [--epochs E] [--partitions P] [--rows R]\n");
+        "  serve [--rm N] [--epochs E] [--partitions P] [--rows R]\n"
+        "<dir> is a segment store: a JOURNAL plus seg-*.psf files.\n");
     return 2;
+}
+
+/** Print @p st as the command's one-line error; @return exit code 1. */
+int
+fail(const Status& st)
+{
+    std::fprintf(stderr, "%s\n", st.toString().c_str());
+    return 1;
+}
+
+/** Open (recovering) the segment store that holds the dataset. */
+StatusOr<std::unique_ptr<SegmentStore>>
+openDataset(const std::string& dir, RecoveryReport* report = nullptr,
+            WriterOptions writer = {})
+{
+    SegmentStoreOptions opt;
+    opt.directory = dir;
+    opt.writer = std::move(writer);
+    return SegmentStore::open(std::move(opt), report);
+}
+
+/**
+ * The PSF bytes of partition id --partition (default 0) of the dataset
+ * in <dir>, whole-file CRC-checked against the journal.
+ */
+StatusOr<std::vector<uint8_t>>
+readPartition(const Args& args)
+{
+    auto store = openDataset(args.positional()[0]);
+    if (!store.ok())
+        return store.status();
+    auto info = (*store)->segmentForPartition(
+        static_cast<uint64_t>(args.getInt("partition", 0)));
+    if (!info.ok())
+        return info.status();
+    return (*store)->readSegmentRaw(info->meta.segment_id);
+}
+
+/** Decode PSF @p bytes in full, checking every page CRC. */
+Status
+decodeAll(std::span<const uint8_t> bytes, RowBatch& out)
+{
+    ColumnarFileReader reader;
+    PRESTO_RETURN_IF_ERROR(reader.open(bytes));
+    return reader.readAllInto(out);
 }
 
 int
@@ -170,25 +220,26 @@ cmdGen(const Args& args)
     opts.seed = static_cast<uint64_t>(seed);
     RawDataGenerator gen(cfg, opts);
 
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec)
+        return fail(Status::unavailable("cannot create " + dir + ": " +
+                                        ec.message()));
     // Heat-annotated writes: the async reader stripes pages of hot
     // columns (per the cachesim access model) across flash channels.
     WriterOptions wopts;
     wopts.column_heat = columnAccessHeat(cfg);
-    DatasetWriter writer(dir, wopts);
+    auto store = openDataset(dir, nullptr, std::move(wopts));
+    if (!store.ok())
+        return fail(store.status());
     for (long p = 0; p < partitions; ++p) {
-        if (Status st = writer.addPartition(
-                gen.generatePartition(static_cast<uint64_t>(p)),
-                static_cast<uint64_t>(p));
-            !st.ok()) {
-            std::fprintf(stderr, "gen failed: %s\n", st.toString().c_str());
-            return 1;
-        }
+        auto id = (*store)->appendPartition(
+            gen.generatePartition(static_cast<uint64_t>(p)),
+            static_cast<uint64_t>(p));
+        if (!id.ok())
+            return fail(id.status());
     }
-    if (Status st = writer.finish(); !st.ok()) {
-        std::fprintf(stderr, "gen failed: %s\n", st.toString().c_str());
-        return 1;
-    }
-    std::printf("wrote %ld partitions x %ld rows of %s into %s\n",
+    std::printf("committed %ld partitions x %ld rows of %s to %s\n",
                 partitions, rows, cfg.name.c_str(), dir.c_str());
     return 0;
 }
@@ -198,23 +249,70 @@ cmdInspect(const Args& args)
 {
     if (args.positional().empty())
         return usage();
-    DatasetReader reader;
-    if (Status st = reader.open(args.positional()[0]); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
-    const auto& m = reader.manifest();
-    std::printf("dataset: %llu partitions x %llu rows\n",
-                static_cast<unsigned long long>(m.num_partitions),
-                static_cast<unsigned long long>(m.rows_per_partition));
-    TablePrinter table({"Partition", "File", "Bytes", "CRC32C"});
-    for (const auto& e : m.partitions) {
+    const std::string dir = args.positional()[0];
+    RecoveryReport report;
+    auto store = openDataset(dir, &report);
+    if (!store.ok())
+        return fail(store.status());
+
+    std::printf("store %s — recovery decisions:\n", dir.c_str());
+    for (const std::string& line : report.decisions())
+        std::printf("  %s\n", line.c_str());
+
+    TablePrinter table({"Segment", "Partition", "State", "Bytes", "Rows",
+                        "Pages", "CRC32C"});
+    for (const SegmentInfo& info : (*store)->listSegments()) {
         char crc[16];
-        std::snprintf(crc, sizeof(crc), "%08x", e.crc);
-        table.addRow({std::to_string(e.partition_id), e.file_name,
-                      formatBytes(static_cast<double>(e.byte_size)), crc});
+        std::snprintf(crc, sizeof(crc), "%08x", info.meta.file_crc);
+        table.addRow(
+            {std::to_string(info.meta.segment_id),
+             std::to_string(info.meta.partition_id),
+             info.state == SegmentState::kQuarantined
+                 ? std::string(segmentStateName(info.state)) + " (" +
+                       info.quarantine_reason + ")"
+                 : segmentStateName(info.state),
+             formatBytes(static_cast<double>(info.meta.byte_size)),
+             std::to_string(info.meta.num_rows),
+             std::to_string(info.meta.plans.size()), crc});
     }
     table.print();
+
+    // The journal, record by record — the store's source of truth.
+    auto bytes = loadFromFile((*store)->journalPath());
+    if (!bytes.ok())
+        return fail(bytes.status());
+    JournalReplay replay;
+    if (Status st = replayJournal(*bytes, replay); !st.ok())
+        return fail(st);
+    std::printf("\njournal: %zu byte(s), %zu record(s)\n", bytes->size(),
+                replay.records.size());
+    for (size_t i = 0; i < replay.records.size(); ++i) {
+        const JournalRecord& rec = replay.records[i];
+        const uint64_t id = rec.kind == JournalRecordKind::kSegmentSealed
+                                ? rec.meta.segment_id
+                                : rec.segment_id;
+        std::printf("  #%zu %-9s", i, journalRecordKindName(rec.kind));
+        if (rec.kind == JournalRecordKind::kCheckpoint)
+            std::printf(" next-id=%llu",
+                        static_cast<unsigned long long>(
+                            rec.next_segment_id));
+        else
+            std::printf(" segment=%llu",
+                        static_cast<unsigned long long>(id));
+        if (rec.kind == JournalRecordKind::kSegmentSealed)
+            std::printf(" partition=%llu bytes=%llu pages=%zu",
+                        static_cast<unsigned long long>(
+                            rec.meta.partition_id),
+                        static_cast<unsigned long long>(
+                            rec.meta.byte_size),
+                        rec.meta.plans.size());
+        if (rec.kind == JournalRecordKind::kSegmentCompacted)
+            std::printf(" into=%llu", static_cast<unsigned long long>(
+                                          rec.new_segment_id));
+        if (rec.kind == JournalRecordKind::kSegmentQuarantined)
+            std::printf(" reason=\"%s\"", rec.reason.c_str());
+        std::printf("\n");
+    }
     return 0;
 }
 
@@ -223,25 +321,40 @@ cmdVerify(const Args& args)
 {
     if (args.positional().empty())
         return usage();
-    DatasetReader reader;
-    if (Status st = reader.open(args.positional()[0]); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
-    size_t ok_count = 0;
-    for (size_t i = 0; i < reader.manifest().partitions.size(); ++i) {
-        auto batch = reader.readPartition(i);
-        if (!batch.ok()) {
-            std::fprintf(stderr, "partition %zu: %s\n", i,
-                         batch.status().toString().c_str());
+    auto store = openDataset(args.positional()[0]);
+    if (!store.ok())
+        return fail(store.status());
+    // Recovery has already checked every live file's size and CRC and
+    // quarantined the ones that failed; those count as failures here.
+    size_t checked = 0;
+    size_t verified = 0;
+    RowBatch batch;
+    for (const SegmentInfo& info : (*store)->listSegments()) {
+        if (info.state == SegmentState::kRetired)
+            continue;
+        ++checked;
+        Status st;
+        if (info.state == SegmentState::kQuarantined) {
+            st = Status::corruption("quarantined: " + info.quarantine_reason);
+        } else {
+            auto bytes = (*store)->readSegmentRaw(info.meta.segment_id);
+            st = bytes.ok() ? decodeAll(*bytes, batch) : bytes.status();
+        }
+        if (!st.ok()) {
+            std::fprintf(stderr, "segment %llu (partition %llu): %s\n",
+                         static_cast<unsigned long long>(
+                             info.meta.segment_id),
+                         static_cast<unsigned long long>(
+                             info.meta.partition_id),
+                         st.toString().c_str());
             continue;
         }
-        ++ok_count;
+        ++verified;
     }
-    std::printf("%zu/%zu partitions verified (manifest CRC + page CRC + "
+    std::printf("%zu/%zu segments verified (whole-file CRC + page CRC + "
                 "full decode)\n",
-                ok_count, reader.manifest().partitions.size());
-    return ok_count == reader.manifest().partitions.size() ? 0 : 1;
+                verified, checked);
+    return verified == checked ? 0 : 1;
 }
 
 int
@@ -249,24 +362,20 @@ cmdTransform(const Args& args)
 {
     if (args.positional().empty())
         return usage();
-    const auto index = static_cast<size_t>(args.getInt("partition", 0));
-    DatasetReader reader;
-    if (Status st = reader.open(args.positional()[0]); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
-    auto raw = reader.readPartition(index);
-    if (!raw.ok()) {
-        std::fprintf(stderr, "%s\n", raw.status().toString().c_str());
-        return 1;
-    }
+    const long id = args.getInt("partition", 0);
+    auto bytes = readPartition(args);
+    if (!bytes.ok())
+        return fail(bytes.status());
+    RowBatch raw;
+    if (Status st = decodeAll(*bytes, raw); !st.ok())
+        return fail(st);
 
     // Derive a config consistent with the stored schema.
     RmConfig cfg = rmConfig(1);
-    cfg.num_dense = raw->schema().numDense();
-    cfg.num_sparse = raw->schema().numSparse();
+    cfg.num_dense = raw.schema().numDense();
+    cfg.num_sparse = raw.schema().numSparse();
     cfg.num_generated = std::min(cfg.num_generated, cfg.num_dense);
-    cfg.batch_size = raw->numRows();
+    cfg.batch_size = raw.numRows();
 
     const std::string backend = args.getString("backend", "cpu");
     MiniBatch mb;
@@ -274,18 +383,6 @@ cmdTransform(const Args& args)
         // Run the FPGA-datapath emulator over the stored PSF bytes, the
         // way a SmartSSD would consume its local partition. Corruption
         // comes back as a Status instead of crashing the tool.
-        if (index >= reader.manifest().partitions.size()) {
-            std::fprintf(stderr, "no partition %zu\n", index);
-            return 1;
-        }
-        const auto& entry = reader.manifest().partitions[index];
-        auto bytes =
-            loadFromFile(args.positional()[0] + "/" + entry.file_name);
-        if (!bytes.ok()) {
-            std::fprintf(stderr, "%s\n",
-                         bytes.status().toString().c_str());
-            return 1;
-        }
         IspEmulator emulator(cfg);
         auto processed = emulator.process(*bytes);
         if (!processed.ok()) {
@@ -302,14 +399,14 @@ cmdTransform(const Args& args)
                     static_cast<unsigned long long>(
                         emulator.counters().buffer_swaps));
     } else if (backend == "cpu") {
-        mb = Preprocessor(cfg).preprocess(*raw);
+        mb = Preprocessor(cfg).preprocess(raw);
     } else {
         std::fprintf(stderr, "unknown backend: %s\n", backend.c_str());
         return usage();
     }
-    std::printf("partition %zu -> %zu rows, %zu dense features, %zu "
+    std::printf("partition %ld -> %zu rows, %zu dense features, %zu "
                 "embedding tables, %zu sparse indices, %s of tensors\n",
-                index, mb.batch_size, mb.num_dense, mb.sparse.size(),
+                id, mb.batch_size, mb.num_dense, mb.sparse.size(),
                 mb.totalSparseValues(),
                 formatBytes(static_cast<double>(mb.byteSize())).c_str());
     return 0;
@@ -320,28 +417,14 @@ cmdDecode(const Args& args)
 {
     if (args.positional().empty())
         return usage();
-    const auto index = static_cast<size_t>(args.getInt("partition", 0));
+    const long id = args.getInt("partition", 0);
     const auto reps = static_cast<size_t>(args.getInt("reps", 5));
-    DatasetReader reader;
-    if (Status st = reader.open(args.positional()[0]); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
-    if (index >= reader.manifest().partitions.size()) {
-        std::fprintf(stderr, "no partition %zu\n", index);
-        return 1;
-    }
-    const auto& entry = reader.manifest().partitions[index];
-    auto bytes = loadFromFile(args.positional()[0] + "/" + entry.file_name);
-    if (!bytes.ok()) {
-        std::fprintf(stderr, "%s\n", bytes.status().toString().c_str());
-        return 1;
-    }
+    auto bytes = readPartition(args);
+    if (!bytes.ok())
+        return fail(bytes.status());
     ColumnarFileReader file;
-    if (Status st = file.open(*bytes); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
+    if (Status st = file.open(*bytes); !st.ok())
+        return fail(st);
 
     // Bucket every page of every stream by (encoding, codec); the
     // payload spans point into `bytes`, which outlives the timing loops.
@@ -413,8 +496,7 @@ cmdDecode(const Args& args)
         return best;
     };
 
-    std::printf("partition %zu (%s), simd level %s, best of %zu reps\n",
-                index, entry.file_name.c_str(),
+    std::printf("partition %ld, simd level %s, best of %zu reps\n", id,
                 simdLevelName(activeSimdLevel()), reps);
     TablePrinter table({"Encoding", "Codec", "Pages", "Values", "Stored",
                         "Raw", "Tbl", "Ratio", "Ref Mval/s",
@@ -464,39 +546,22 @@ cmdPages(const Args& args)
 {
     if (args.positional().empty())
         return usage();
-    const auto index = static_cast<size_t>(args.getInt("partition", 0));
+    const long id = args.getInt("partition", 0);
     const bool heat_view = args.getInt("heat", 0) != 0;
     const int channels = static_cast<int>(args.getInt("channels", 4));
-    DatasetReader reader;
-    if (Status st = reader.open(args.positional()[0]); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
-    if (index >= reader.manifest().partitions.size()) {
-        std::fprintf(stderr, "no partition %zu\n", index);
-        return 1;
-    }
-    const auto& entry = reader.manifest().partitions[index];
-    auto bytes = loadFromFile(args.positional()[0] + "/" + entry.file_name);
-    if (!bytes.ok()) {
-        std::fprintf(stderr, "%s\n", bytes.status().toString().c_str());
-        return 1;
-    }
+    auto bytes = readPartition(args);
+    if (!bytes.ok())
+        return fail(bytes.status());
     ColumnarFileReader file;
-    if (Status st = file.open(*bytes); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
+    if (Status st = file.open(*bytes); !st.ok())
+        return fail(st);
     std::vector<PageReadPlan> plans;
-    if (Status st = file.planPageReads(plans); !st.ok()) {
-        std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 1;
-    }
+    if (Status st = file.planPageReads(plans); !st.ok())
+        return fail(st);
     if (heat_view)
         assignChannelPlacement(file.footer(), channels, plans);
 
-    std::printf("partition %zu (%s): %zu page frame(s)%s\n", index,
-                entry.file_name.c_str(), plans.size(),
+    std::printf("partition %ld: %zu page frame(s)%s\n", id, plans.size(),
                 heat_view ? ", heat-aware channel placement" : "");
     TablePrinter table(
         heat_view
@@ -665,140 +730,6 @@ cmdIo(const Args& args)
     table.addRow({"latency p99",
                   formatTime(stats.latencyQuantile(0.99))});
     table.print();
-    return 0;
-}
-
-int
-cmdStore(const Args& args)
-{
-    if (args.positional().empty())
-        return usage();
-    const std::string dir = args.positional()[0];
-    const long demo = args.getInt("demo", 0);
-    const bool verify = args.getInt("verify", 0) != 0;
-
-    SegmentStoreOptions opt;
-    opt.directory = dir;
-    RecoveryReport report;
-    auto store = SegmentStore::open(opt, &report);
-    if (!store.ok()) {
-        std::fprintf(stderr, "store open failed: %s\n",
-                     store.status().toString().c_str());
-        return 1;
-    }
-
-    std::printf("store %s — recovery decisions:\n", dir.c_str());
-    for (const std::string& line : report.decisions())
-        std::printf("  %s\n", line.c_str());
-
-    if (demo > 0) {
-        RmConfig cfg = rmConfig(static_cast<int>(args.getInt("rm", 1)));
-        cfg.batch_size = static_cast<size_t>(args.getInt("rows", 1024));
-        RawDataGenerator gen(cfg);
-        for (long p = 0; p < demo; ++p) {
-            auto id = (*store)->appendPartition(
-                gen.generatePartition(static_cast<uint64_t>(p)),
-                static_cast<uint64_t>(p));
-            if (!id.ok()) {
-                std::fprintf(stderr, "append failed: %s\n",
-                             id.status().toString().c_str());
-                return 1;
-            }
-        }
-        std::printf("committed %ld demo partition(s) of %s\n", demo,
-                    cfg.name.c_str());
-    }
-
-    const auto segments = (*store)->listSegments();
-    TablePrinter table({"Segment", "Partition", "State", "Bytes", "Rows",
-                        "Pages", "CRC32C"});
-    for (const SegmentInfo& info : segments) {
-        char crc[16];
-        std::snprintf(crc, sizeof(crc), "%08x", info.meta.file_crc);
-        table.addRow(
-            {std::to_string(info.meta.segment_id),
-             std::to_string(info.meta.partition_id),
-             info.state == SegmentState::kQuarantined
-                 ? std::string(segmentStateName(info.state)) + " (" +
-                       info.quarantine_reason + ")"
-                 : segmentStateName(info.state),
-             formatBytes(static_cast<double>(info.meta.byte_size)),
-             std::to_string(info.meta.num_rows),
-             std::to_string(info.meta.plans.size()), crc});
-    }
-    table.print();
-
-    // The journal, record by record — the store's source of truth.
-    auto bytes = loadFromFile((*store)->journalPath());
-    if (!bytes.ok()) {
-        std::fprintf(stderr, "cannot read journal: %s\n",
-                     bytes.status().toString().c_str());
-        return 1;
-    }
-    JournalReplay replay;
-    if (Status st = replayJournal(*bytes, replay); !st.ok()) {
-        std::fprintf(stderr, "journal replay failed: %s\n",
-                     st.toString().c_str());
-        return 1;
-    }
-    std::printf("\njournal: %zu byte(s), %zu record(s)\n", bytes->size(),
-                replay.records.size());
-    for (size_t i = 0; i < replay.records.size(); ++i) {
-        const JournalRecord& rec = replay.records[i];
-        const uint64_t id = rec.kind == JournalRecordKind::kSegmentSealed
-                                ? rec.meta.segment_id
-                                : rec.segment_id;
-        std::printf("  #%zu %-9s", i, journalRecordKindName(rec.kind));
-        if (rec.kind == JournalRecordKind::kCheckpoint)
-            std::printf(" next-id=%llu",
-                        static_cast<unsigned long long>(
-                            rec.next_segment_id));
-        else
-            std::printf(" segment=%llu",
-                        static_cast<unsigned long long>(id));
-        if (rec.kind == JournalRecordKind::kSegmentSealed)
-            std::printf(" partition=%llu bytes=%llu pages=%zu",
-                        static_cast<unsigned long long>(
-                            rec.meta.partition_id),
-                        static_cast<unsigned long long>(
-                            rec.meta.byte_size),
-                        rec.meta.plans.size());
-        if (rec.kind == JournalRecordKind::kSegmentCompacted)
-            std::printf(" into=%llu", static_cast<unsigned long long>(
-                                          rec.new_segment_id));
-        if (rec.kind == JournalRecordKind::kSegmentQuarantined)
-            std::printf(" reason=\"%s\"", rec.reason.c_str());
-        std::printf("\n");
-    }
-
-    if (verify) {
-        // Full re-checksum: every page frame of every live segment.
-        uint64_t total_pages = 0;
-        for (const SegmentInfo& info : segments) {
-            if (info.state == SegmentState::kSealed ||
-                info.state == SegmentState::kCompacted)
-                total_pages += info.meta.plans.size();
-        }
-        auto verified = (*store)->scrubSome(
-            static_cast<size_t>(total_pages) + 1);
-        if (!verified.ok()) {
-            std::fprintf(stderr, "scrub failed: %s\n",
-                         verified.status().toString().c_str());
-            return 1;
-        }
-        std::printf("\nverify: %llu/%llu page frame(s) passed CRC\n",
-                    static_cast<unsigned long long>(*verified),
-                    static_cast<unsigned long long>(total_pages));
-        for (const SegmentInfo& info : (*store)->listSegments()) {
-            if (info.state == SegmentState::kQuarantined)
-                std::printf("  segment %llu quarantined: %s\n",
-                            static_cast<unsigned long long>(
-                                info.meta.segment_id),
-                            info.quarantine_reason.c_str());
-        }
-        if (*verified != total_pages)
-            return 1;
-    }
     return 0;
 }
 
@@ -1004,8 +935,6 @@ main(int argc, char** argv)
         return cmdProvision(args);
     if (cmd == "io")
         return cmdIo(args);
-    if (cmd == "store")
-        return cmdStore(args);
     if (cmd == "plan")
         return cmdPlan(args);
     if (cmd == "serve")
