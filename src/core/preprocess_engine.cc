@@ -12,15 +12,10 @@ namespace presto {
     is read unlocked by the producing workers. */
 struct PreprocessEngine::Flow {
     FlowSpec spec;
-    /** Sequence n lives in slot n % capacity; nullptr = not published. */
+    /** The batch of a sequence number EngineCore marks published in
+        its slot (n % capacity); nullptr otherwise. */
     std::vector<std::unique_ptr<MiniBatch>> slots;
-    uint64_t claimed = 0;  ///< next sequence number to claim
-    size_t in_flight = 0;
-    size_t ready = 0;  ///< published, undelivered
-    uint64_t error_at = UINT64_MAX;  ///< sequence number of error
-    Status error;
-    bool closing = false;
-    FlowStats stats;  ///< stats.delivered: next sequence number to deliver
+    FlowStats stats;  ///< all but delivered, which the core counts
     std::condition_variable cv;  ///< consumers and close(): flow changed
 };
 
@@ -52,13 +47,13 @@ PreprocessEngine::~PreprocessEngine()
 PreprocessEngine::FlowId
 PreprocessEngine::open(FlowSpec spec)
 {
-    PRESTO_CHECK(spec.queue_capacity >= 1, "queue capacity must be positive");
     auto flow = std::make_shared<Flow>();
     flow->slots.resize(spec.queue_capacity);
     flow->spec = std::move(spec);
     std::scoped_lock lock(mu_);
     const FlowId id = next_id_++;
-    wfq_.join(id, flow->spec.weight);
+    core_.open(id, flow->spec.weight, flow->spec.queue_capacity,
+               flow->spec.limit);
     flows_.emplace(id, std::move(flow));
     work_cv_.notify_all();
     return id;
@@ -73,19 +68,16 @@ PreprocessEngine::workerLoop(ThreadPool* decode_pool, IoRing* io_ring)
     shell->producer.bind(decode_pool, io_ring);
     std::unique_lock lock(mu_);
     while (!stopping_) {
-        const auto picked = wfq_.pick([&](FlowId id) {
-            const Flow& f = *flows_.at(id);
-            return !f.closing && f.error.ok() && f.claimed < f.spec.limit &&
-                   f.claimed - f.stats.delivered < f.slots.size();
-        });
-        if (!picked) {
+        const std::optional<EngineCore::Claim> claim = core_.claim();
+        if (!claim) {
             work_cv_.wait(lock);
             continue;
         }
-        std::shared_ptr<Flow> flow = flows_.at(*picked);
-        const uint64_t seq = flow->claimed++;
+        const FlowId id = claim->flow;
+        const uint64_t seq = claim->sequence;
+        std::shared_ptr<Flow> flow = flows_.at(id);
         flow->stats.max_in_flight =
-            std::max(flow->stats.max_in_flight, ++flow->in_flight);
+            std::max(flow->stats.max_in_flight, core_.find(id)->in_flight);
         lock.unlock();
 
         // Extract, then Transform into a pooled MiniBatch shell taken
@@ -102,11 +94,9 @@ PreprocessEngine::workerLoop(ThreadPool* decode_pool, IoRing* io_ring)
         }
 
         lock.lock();
-        --flow->in_flight;
-        if (!st.ok() && seq < flow->error_at) {
-            flow->error_at = seq;
-            flow->error = std::move(st);
-        } else if (st.ok() && !flow->closing && seq < flow->error_at) {
+        if (!st.ok()) {
+            core_.fail(id, seq, std::move(st));
+        } else if (core_.publish(id, seq)) {
             const ProduceStats& ps = shell->producer.lastStats();
             FlowStats& fs = flow->stats;
             ++fs.produced;
@@ -117,7 +107,7 @@ PreprocessEngine::workerLoop(ThreadPool* decode_pool, IoRing* io_ring)
             fs.hot_tier_hits += ps.hot_tier_hit ? 1 : 0;
             fs.tensor_bytes += mb->byteSize();
             fs.max_queue_occupancy =
-                std::max(fs.max_queue_occupancy, ++flow->ready);
+                std::max(fs.max_queue_occupancy, core_.find(id)->ready);
             flow->slots[seq % flow->slots.size()] = std::move(mb);
         }
         shells_.giveBatch(std::move(mb));  // unpublished; nullptr: no-op
@@ -135,26 +125,19 @@ PreprocessEngine::next(FlowId id)
     auto it = flows_.find(id);
     const std::shared_ptr<Flow> flow =
         it == flows_.end() ? nullptr : it->second;
-    const auto head = [&flow]() -> std::unique_ptr<MiniBatch>& {
-        return flow->slots[flow->stats.delivered % flow->slots.size()];
-    };
-    while (flow != nullptr && !flow->closing && head() == nullptr &&
-           flow->stats.delivered < flow->spec.limit &&
-           flow->stats.delivered != flow->error_at)
+    EngineCore::Head head;
+    while ((head = core_.head(id)) == EngineCore::Head::kWait)
         flow->cv.wait(lock);
-    if (flow == nullptr || flow->closing)
+    if (head == EngineCore::Head::kClosed)
         return Status::aborted("flow " + std::to_string(id) + " closed");
+    if (head == EngineCore::Head::kError)
+        return core_.find(id)->error;
     FlowBatch out;
-    out.sequence = flow->stats.delivered;
-    if (out.sequence >= flow->spec.limit)
+    out.sequence = core_.find(id)->delivered;
+    if (head == EngineCore::Head::kEnd)
         return out;
-    if (out.sequence == flow->error_at)
-        return flow->error;
-    if (flow->ready == flow->slots.size() && flow->in_flight == 0)
-        wfq_.wake(id);  // idle: the consumer, not the workers, held it
-    out.batch = std::move(head());
-    --flow->ready;
-    ++flow->stats.delivered;
+    core_.deliver(id);
+    out.batch = std::move(flow->slots[out.sequence % flow->slots.size()]);
     lock.unlock();
     work_cv_.notify_one();  // one more sequence number is claimable
     return out;
@@ -168,21 +151,25 @@ PreprocessEngine::close(FlowId id)
     if (it == flows_.end())
         return;
     const std::shared_ptr<Flow> flow = it->second;
-    flow->closing = true;
+    core_.close(id);
     flow->cv.notify_all();
-    flow->cv.wait(lock, [&] { return flow->in_flight == 0; });
+    flow->cv.wait(lock, [&] {
+        const EngineCore::Flow* f = core_.find(id);
+        return f == nullptr || f->in_flight == 0;
+    });
     if (flows_.erase(id) == 0)
-        return;  // a racing close() erased it first
-    wfq_.leave(id);
-    for (auto& mb : flow->slots)
-        shells_.giveBatch(std::move(mb));
+        return;  // a racing close() released it first
+    for (uint64_t seq : core_.release(id))
+        shells_.giveBatch(std::move(flow->slots[seq % flow->slots.size()]));
 }
 
 FlowStats
 PreprocessEngine::stats(FlowId id) const
 {
     std::scoped_lock lock(mu_);
-    return flows_.at(id)->stats;
+    FlowStats stats = flows_.at(id)->stats;
+    stats.delivered = core_.find(id)->delivered;
+    return stats;
 }
 
 }  // namespace presto

@@ -9,24 +9,17 @@
  * locate(n) names, then Transformed by the flow's CompiledProgram
  * (ops/opvm.h). A flow holds the fused program alone, not a
  * PlanExecutor, whose unfused reference tables would be rebuilt for
- * every manager (about 5 ms per RM5 epoch). A fixed set of worker
- * threads serves every open flow:
+ * every manager (about 5 ms per RM5 epoch).
  *
- *  - a worker picks among the claimable flows by weighted-fair
- *    queueing (wfq.h), which charges the flow 1/weight at the claim;
- *  - a flow is claimable while claimed - delivered < queue_capacity,
- *    so its queued plus in-flight batches never exceed the capacity;
- *  - any number of workers may produce for one flow at once, outside
- *    the lock, and each publishes into the flow's in-order slot ring
- *    (sequence n in slot n % capacity); next() hands batches out
- *    strictly in sequence order.
- *
- * A failed production latches its error at its sequence number: the
- * flow claims nothing more, delivers every earlier batch, then the
- * error. A flow whose slots are all full with nothing in flight is
- * idle, held back by its consumer rather than the workers; the
- * delivery that frees a slot re-bases it (WfqScheduler::wake), so it
- * takes no catch-up burst.
+ * The engine is the threaded shell around EngineCore (engine_core.h),
+ * which owns every flow rule: weighted-fair claims, the capacity bound
+ * (claimed - delivered < queue_capacity), strict in-order delivery, an
+ * error latched at its sequence number, the one wake rule, and close
+ * giving every slot back. The shell calls the core under one mutex and
+ * adds what needs threads: a fixed set of workers claims, produces
+ * outside the lock (any number at once for one flow) and publishes the
+ * MiniBatch into the slot the core names; next() blocks until the core
+ * has a head to hand out.
  *
  * Buffers: each worker borrows a WorkerShell (producer, decode batch,
  * Transform arena) from the given ShellPool for its life and takes
@@ -48,9 +41,9 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/engine_core.h"
 #include "core/partition_store.h"
 #include "core/shell_pool.h"
-#include "core/wfq.h"
 #include "ops/opvm.h"
 #include "tabular/minibatch.h"
 
@@ -93,7 +86,7 @@ struct FlowBatch {
 class PreprocessEngine
 {
   public:
-    using FlowId = WfqScheduler::FlowId;
+    using FlowId = EngineCore::FlowId;
 
     /**
      * Start @p workers threads (>= 1) that borrow their buffers from
@@ -141,7 +134,7 @@ class PreprocessEngine
     mutable std::mutex mu_;
     std::condition_variable work_cv_;  ///< workers: a flow became claimable
     std::map<FlowId, std::shared_ptr<Flow>> flows_;
-    WfqScheduler wfq_;
+    EngineCore core_;  ///< the flow rules, over the same ids as flows_
     FlowId next_id_ = 1;
     bool stopping_ = false;
     std::vector<std::thread> workers_;

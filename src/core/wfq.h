@@ -1,8 +1,9 @@
 /**
  * @file
- * WfqScheduler: the one weighted-fair-queueing policy, shared by the
- * worker engine (preprocess_engine.h) behind the batch pipeline and
- * the ingest service, and by the discrete-event service scenario.
+ * WfqScheduler: the one weighted-fair-queueing policy. EngineCore
+ * (engine_core.h) holds it and decides with it which claimable flow a
+ * worker serves next; the threaded worker engine and the service DES
+ * both reach it only through that core.
  *
  * Start-time fair queueing over flows (sessions or simulated tenants):
  *
@@ -14,12 +15,10 @@
  *    max(tag, system virtual time), so it neither starves the others
  *    nor replays service it never asked for (no catch-up burst).
  *
- * Eligibility stays with the caller: the engine and the DES both admit
- * a flow whose queued + in-flight batches are below its capacity (the
- * DES also asks for a backlog). The scheduler decides only the order
- * among admitted flows.
+ * Eligibility and the moment of a wake stay with the caller: the
+ * scheduler decides only the order among admitted flows.
  *
- * Not thread-safe: the engine calls it under its mutex.
+ * Not thread-safe.
  */
 #ifndef PRESTO_CORE_WFQ_H_
 #define PRESTO_CORE_WFQ_H_
@@ -51,6 +50,10 @@ class WfqScheduler
 
     /** Idle re-base of flow @p id: tag = max(tag, system vtime). */
     void wake(FlowId id);
+
+    /** Flow @p id's start tag, and the system virtual time. */
+    double tag(FlowId id) const { return flows_.at(id).tag; }
+    double vtime() const { return vtime_; }
 
     /**
      * Serve the flow with the smallest tag among those @p eligible(id)

@@ -18,8 +18,8 @@
  *  - A shared pool of preprocessing workers serves all admitted
  *    sessions: the service runs one PreprocessEngine
  *    (core/preprocess_engine.h), each session one flow of it. Workers
- *    pick sessions under weighted-fair queueing (core/wfq.h, the
- *    scheduler the DES replay runs too): each claimed batch charges
+ *    pick sessions under weighted-fair queueing (core/wfq.h, inside
+ *    the EngineCore the DES replay runs too): each claimed batch charges
  *    the session 1/weight, and workers always serve the claimable
  *    session with the smallest start tag, so a tenant with weight 2
  *    gets twice the throughput of a weight-1 tenant under contention.

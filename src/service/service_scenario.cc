@@ -7,7 +7,7 @@
 #include <set>
 
 #include "common/logging.h"
-#include "core/wfq.h"
+#include "core/engine_core.h"
 #include "service/admission.h"
 #include "sim/simulator.h"
 
@@ -15,26 +15,16 @@ namespace presto {
 
 namespace {
 
-/** Live DES state of one tenant. */
+/** What the DES tracks of one tenant beyond its engine flow. */
 struct TenantState {
     const ScenarioTenant* spec = nullptr;
-    size_t index = 0;  ///< input order; WFQ flow id and tie-break
-    bool admitted = false;
+    size_t index = 0;  ///< input order; engine flow id and tie-break
 
-    std::deque<double> backlog;  ///< arrival times awaiting a device
-    size_t in_flight = 0;        ///< batches being produced
-    size_t queue_occupancy = 0;  ///< produced, not yet consumed (stall)
+    std::deque<double> backlog;  ///< arrival times of unclaimed requests
     uint64_t pinned_epoch = 0;   ///< 0 = lifecycle off / not joined
 
     TenantReport report;
     std::vector<double> latencies;
-
-    bool
-    eligible() const
-    {
-        return admitted && !backlog.empty() &&
-               queue_occupancy + in_flight < spec->queue_capacity;
-    }
 
     bool
     stalledAt(double t) const
@@ -51,7 +41,9 @@ struct ScenarioState {
     std::vector<TenantState> tenants;
     int capacity = 0;  ///< surviving devices
     int busy = 0;
-    WfqScheduler wfq;  ///< one flow per tenant, keyed by input index
+    /** One flow per tenant, keyed by input index: claims, in-flight
+        and queue accounting, in-order delivery and wake. */
+    EngineCore engine;
     double busy_device_sec = 0;
     uint64_t devices_failed = 0;
     double lost_device_sec = 0;
@@ -66,6 +58,7 @@ struct ScenarioState {
 
     void dispatch();
     void arrive(TenantState& tenant);
+    void consume(TenantState& tenant);
     void startSlotGenerator(TenantState& tenant, uint64_t slot);
     std::vector<AdmissionInput> admittedInputs() const;
 
@@ -83,6 +76,29 @@ struct ScenarioState {
     void pinAtJoin(TenantState& tenant);
 };
 
+struct LatencySummary {
+    double mean = 0;
+    double p99 = 0;
+    double max = 0;
+};
+
+/** Summary of @p xs, which it sorts; zeros when empty. */
+LatencySummary
+summarize(std::vector<double>& xs)
+{
+    LatencySummary out;
+    if (xs.empty())
+        return out;
+    std::sort(xs.begin(), xs.end());
+    for (double x : xs)
+        out.mean += x;
+    out.mean /= static_cast<double>(xs.size());
+    out.p99 = xs[static_cast<size_t>(
+        0.99 * static_cast<double>(xs.size() - 1))];
+    out.max = xs.back();
+    return out;
+}
+
 AdmissionInput
 inputFor(const ScenarioTenant& spec, double service_sec)
 {
@@ -99,7 +115,7 @@ ScenarioState::admittedInputs() const
 {
     std::vector<AdmissionInput> admitted;
     for (const TenantState& t : tenants) {
-        if (t.admitted)
+        if (t.report.admitted)
             admitted.push_back(inputFor(*t.spec, options->service_sec));
     }
     return admitted;
@@ -109,29 +125,28 @@ void
 ScenarioState::dispatch()
 {
     while (busy < capacity) {
-        const std::optional<uint64_t> picked = wfq.pick(
-            [this](uint64_t id) { return tenants[id].eligible(); });
-        if (!picked)
+        const std::optional<EngineCore::Claim> claim = engine.claim();
+        if (!claim)
             return;
-        TenantState* pick = &tenants[*picked];
-        const double arrival_time = pick->backlog.front();
-        pick->backlog.pop_front();
-        ++pick->in_flight;
-        pick->report.max_queue_occupancy =
-            std::max(pick->report.max_queue_occupancy,
-                     pick->queue_occupancy + pick->in_flight);
+        TenantState* tenant = &tenants[claim->flow];
+        const double arrival_time = tenant->backlog.front();
+        tenant->backlog.pop_front();
+        const EngineCore::Flow& flow = *engine.find(claim->flow);
+        tenant->report.max_queue_occupancy =
+            std::max(tenant->report.max_queue_occupancy,
+                     static_cast<size_t>(flow.claimed - flow.delivered));
         ++busy;
         // Tiering classification happens at dispatch: a head-epoch
         // stream is a hot-tier read, a lagged pin streams its cold
         // epoch off disk and pays the extra device time.
-        const bool hot = tenantHot(*pick);
+        const bool hot = tenantHot(*tenant);
         const double service =
             options->service_sec +
             (hot ? 0.0 : options->lifecycle.cold_extra_sec);
-        TenantState* tenant = pick;
-        sim.schedule(service, [this, tenant, arrival_time, hot, service] {
+        sim.schedule(service, [this, tenant, arrival_time, hot, service,
+                               seq = claim->sequence] {
             --busy;
-            --tenant->in_flight;
+            engine.publish(tenant->index, seq);
             busy_device_sec += service;
             ++tenant->report.served;
             const double latency = sim.now() - arrival_time;
@@ -145,12 +160,9 @@ ScenarioState::dispatch()
                     cold_latencies.push_back(latency);
                 }
             }
-            if (tenant->stalledAt(sim.now())) {
-                ++tenant->queue_occupancy;
-                tenant->report.max_queue_occupancy =
-                    std::max(tenant->report.max_queue_occupancy,
-                             tenant->queue_occupancy + tenant->in_flight);
-            }
+            // A stalled trainer leaves the batch in its queue.
+            if (!tenant->stalledAt(sim.now()))
+                consume(*tenant);
             dispatch();
         });
     }
@@ -159,16 +171,22 @@ ScenarioState::dispatch()
 void
 ScenarioState::arrive(TenantState& tenant)
 {
-    // A tenant returning from idle rejoins at the system virtual time:
-    // its stale (small) tag must not buy it a catch-up burst.
-    if (tenant.backlog.empty() && tenant.in_flight == 0)
-        wfq.wake(tenant.index);
+    // Open loop: each request raises the flow's limit by one.
     ++tenant.report.arrivals;
     tenant.backlog.push_back(sim.now());
+    engine.raiseLimit(tenant.index, tenant.report.arrivals);
     tenant.report.backlog_peak =
         std::max(tenant.report.backlog_peak,
                  static_cast<uint64_t>(tenant.backlog.size()));
     dispatch();
+}
+
+void
+ScenarioState::consume(TenantState& tenant)
+{
+    // The trainer takes every batch it can, in sequence order.
+    while (engine.head(tenant.index) == EngineCore::Head::kBatch)
+        engine.deliver(tenant.index);
 }
 
 void
@@ -194,7 +212,7 @@ ScenarioState::publishEpochEvent()
     // Head-following tenants re-pin the freshly promoted epoch; a
     // tenant holding a historical pin keeps it until its hold expires.
     for (TenantState& tenant : tenants) {
-        if (tenant.admitted && tenant.pinned_epoch != 0 &&
+        if (tenant.report.admitted && tenant.pinned_epoch != 0 &&
             sim.now() >= tenant.spec->hold_pin_until_sec) {
             tenant.pinned_epoch = head_epoch;
         }
@@ -207,7 +225,7 @@ ScenarioState::publishEpochEvent()
             head_epoch - model.retain_epochs + 1;
         std::set<uint64_t> pinned;
         for (const TenantState& tenant : tenants) {
-            if (tenant.admitted && tenant.pinned_epoch != 0)
+            if (tenant.report.admitted && tenant.pinned_epoch != 0)
                 pinned.insert(tenant.pinned_epoch);
         }
         for (auto it = live_epoch_set.begin();
@@ -290,8 +308,6 @@ runServiceScenario(const ScenarioOptions& options,
     state.tenants.resize(tenants.size());
     for (size_t i = 0; i < state.specs.size(); ++i) {
         ScenarioTenant& spec = state.specs[i];
-        PRESTO_CHECK(spec.queue_capacity > 0,
-                     "tenant queue capacity must be >= 1");
         // Derive the diurnal mean from the user population when given.
         if (spec.users > 0) {
             PRESTO_CHECK(spec.samples_per_batch > 0,
@@ -302,11 +318,11 @@ runServiceScenario(const ScenarioOptions& options,
             spec.traffic.diurnal.mean_batches_per_sec =
                 batches_per_day / spec.traffic.diurnal.period_sec;
         }
-        // Every flow joins at tag 0 and is stamped when it first becomes
-        // backlogged (arrive), not at admission: the system virtual time
-        // is not monotone here (a tenant leaving a stall is served at
-        // its old tag), so a stamp taken at admission could differ.
-        state.wfq.join(i, spec.weight);
+        // Every flow opens at t = 0 with nothing requested; arrivals
+        // raise its limit, and the engine's wake rule re-bases it
+        // whenever it resumes (first arrival, arrival after an empty
+        // backlog, stall drain).
+        state.engine.open(i, spec.weight, spec.queue_capacity, 0);
         TenantState& tenant = state.tenants[i];
         tenant.spec = &spec;
         tenant.index = i;
@@ -327,7 +343,7 @@ runServiceScenario(const ScenarioOptions& options,
         if (tenant.spec->stall_end_sec > tenant.spec->stall_start_sec &&
             tenant.spec->stall_end_sec <= options.duration_sec) {
             state.sim.scheduleAt(tenant.spec->stall_end_sec, [&] {
-                tenant.queue_occupancy = 0;
+                state.consume(tenant);
                 state.dispatch();
             });
         }
@@ -363,7 +379,6 @@ runServiceScenario(const ScenarioOptions& options,
                 tenant.report.reject_reason = decision.reason;
                 return;
             }
-            tenant.admitted = true;
             tenant.report.admitted = true;
             tenant.report.reject_reason.clear();
             state.pinAtJoin(tenant);
@@ -391,18 +406,10 @@ runServiceScenario(const ScenarioOptions& options,
             : 0.0;
     for (TenantState& tenant : state.tenants) {
         TenantReport& tr = tenant.report;
-        if (!tenant.latencies.empty()) {
-            std::sort(tenant.latencies.begin(), tenant.latencies.end());
-            double sum = 0;
-            for (double latency : tenant.latencies)
-                sum += latency;
-            tr.mean_latency_sec =
-                sum / static_cast<double>(tenant.latencies.size());
-            tr.max_latency_sec = tenant.latencies.back();
-            const size_t p99_index = static_cast<size_t>(
-                0.99 * static_cast<double>(tenant.latencies.size() - 1));
-            tr.p99_latency_sec = tenant.latencies[p99_index];
-        }
+        const LatencySummary latency = summarize(tenant.latencies);
+        tr.mean_latency_sec = latency.mean;
+        tr.p99_latency_sec = latency.p99;
+        tr.max_latency_sec = latency.max;
         tr.slo_met = tenant.spec->slo_p99_sec <= 0 ||
                      tr.p99_latency_sec <= tenant.spec->slo_p99_sec;
         tr.pinned_epoch = tenant.pinned_epoch;
@@ -420,24 +427,10 @@ runServiceScenario(const ScenarioOptions& options,
             total > 0 ? static_cast<double>(lc.hot_served) /
                             static_cast<double>(total)
                       : 0.0;
-        auto meanOf = [](const std::vector<double>& xs) {
-            if (xs.empty())
-                return 0.0;
-            double sum = 0;
-            for (double x : xs)
-                sum += x;
-            return sum / static_cast<double>(xs.size());
-        };
-        lc.mean_hot_latency_sec = meanOf(state.hot_latencies);
-        lc.mean_cold_latency_sec = meanOf(state.cold_latencies);
-        if (!state.cold_latencies.empty()) {
-            std::sort(state.cold_latencies.begin(),
-                      state.cold_latencies.end());
-            const size_t p99_index = static_cast<size_t>(
-                0.99 *
-                static_cast<double>(state.cold_latencies.size() - 1));
-            lc.p99_cold_latency_sec = state.cold_latencies[p99_index];
-        }
+        lc.mean_hot_latency_sec = summarize(state.hot_latencies).mean;
+        const LatencySummary cold = summarize(state.cold_latencies);
+        lc.mean_cold_latency_sec = cold.mean;
+        lc.p99_cold_latency_sec = cold.p99;
         report.lifecycle = lc;
     }
     return report;

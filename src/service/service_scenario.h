@@ -4,13 +4,16 @@
  * diurnal traffic from millions of simulated users.
  *
  * The threaded IngestService cannot be run for a simulated day inside a
- * test, so this scenario replays the same policies — admission control
- * (admission.h), weighted-fair device scheduling (the worker
- * engine's WfqScheduler, core/wfq.h), and bounded per-tenant output
- * queues — on the DES engine (sim/simulator.h) at full fleet scale: a
- * pool of ISP devices serves batch requests from tenants whose offered
- * load follows diurnal curves with load spikes (diurnal.h), while
- * FaultInjector fail-stops remove devices mid-day.
+ * test, so this scenario replays the same policies on the DES engine
+ * (sim/simulator.h) at full fleet scale: admission control
+ * (admission.h), and the worker engine's own flow state machine
+ * (EngineCore, core/engine_core.h) for weighted-fair device claims,
+ * bounded per-tenant output queues, in-order delivery and the wake
+ * rule. A pool of ISP devices serves batch requests from tenants whose
+ * offered load follows diurnal curves with load spikes (diurnal.h),
+ * while FaultInjector fail-stops remove devices mid-day. The scenario
+ * drives each flow open loop: every arriving request raises the flow's
+ * limit by one, where the threaded engine's trainers pull.
  *
  * The scenario is the evidence generator for docs/SERVICE.md and
  * bench_service: identical seeds and options produce bit-identical

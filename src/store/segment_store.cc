@@ -110,6 +110,12 @@ SegmentStore::journalPath() const
     return options_.directory + "/" + kJournalName;
 }
 
+bool
+SegmentStore::exists(const std::string& directory)
+{
+    return fileSizeOf(directory + "/" + kJournalName).ok();
+}
+
 std::string
 SegmentStore::segmentPath(const SegmentMeta& meta) const
 {

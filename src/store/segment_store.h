@@ -128,6 +128,10 @@ class SegmentStore
     static StatusOr<std::unique_ptr<SegmentStore>> open(
         SegmentStoreOptions options, RecoveryReport* report = nullptr);
 
+    /** True when @p directory holds a store (its journal), so that
+        open() recovers it rather than creating an empty one there. */
+    static bool exists(const std::string& directory);
+
     /** Encode @p batch as PSF and commit it as a new segment. */
     StatusOr<uint64_t> appendPartition(const RowBatch& batch,
                                        uint64_t partition_id);

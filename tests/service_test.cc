@@ -905,6 +905,38 @@ TEST(ServiceScenarioTest, DeterministicReplayAndBoundedStallQueue)
     EXPECT_EQ(first.busy_device_sec, second.busy_device_sec);
 }
 
+TEST(ServiceScenarioTest, StalledTenantTakesNoCatchUpBurst)
+{
+    // Two equal tenants offer 15 batches/s each to 4 devices at 0.1 s
+    // (40/s). One trainer stalls over [100, 150) s with 3 queue slots,
+    // so ~750 requests pile up behind it. When the stall drains, the
+    // engine's wake rule re-bases that flow like any idle one: it
+    // shares the fleet with the steady tenant instead of taking three
+    // devices of four until its stale tag catches up.
+    ScenarioOptions options;
+    options.devices = 4;
+    options.service_sec = 0.1;
+    options.duration_sec = 300;
+
+    ScenarioTenant steady = constantTenant("steady", 15, 1.0);
+    ScenarioTenant stalled = constantTenant("stalled", 15, 1.0);
+    stalled.queue_capacity = 3;
+    stalled.stall_start_sec = 100;
+    stalled.stall_end_sec = 150;
+
+    const ScenarioReport report =
+        runServiceScenario(options, {steady, stalled});
+    ASSERT_EQ(report.tenants.size(), 2u);
+    const TenantReport& s = report.tenants[0];
+    const TenantReport& t = report.tenants[1];
+    ASSERT_TRUE(s.admitted && t.admitted);
+    EXPECT_EQ(s.served, s.arrivals);
+    EXPECT_EQ(t.served, t.arrivals);
+    EXPECT_GT(t.backlog_peak, 500u);
+    EXPECT_EQ(t.max_queue_occupancy, 3u);
+    EXPECT_LT(s.max_latency_sec, 1.0);
+}
+
 TEST(ServiceScenarioTest, AdmissionControlGatesJoiner)
 {
     ScenarioOptions options;

@@ -460,6 +460,24 @@ TEST(StoreRecoveryTest, ForeignPsfSurvivesOpenWithoutJournal)
     EXPECT_EQ(*kept, foreign);
 }
 
+TEST(StoreRecoveryTest, ExistsOnlyOnceAJournalIsPublished)
+{
+    // exists() is how a reader tells a store from a directory open()
+    // would turn into one; neither a foreign file nor a torn first
+    // journal makes a store.
+    const std::string dir = freshDir("store_exists");
+    EXPECT_FALSE(SegmentStore::exists(dir));
+    const std::vector<uint8_t> foreign{1, 2, 3};
+    ASSERT_TRUE(saveToFile(dir + "/part-00000000.psf", foreign).ok());
+    ASSERT_TRUE(saveToFile(dir + "/JOURNAL.tmp", foreign).ok());
+    EXPECT_FALSE(SegmentStore::exists(dir));
+    SegmentStoreOptions opt;
+    opt.directory = dir;
+    ASSERT_TRUE(SegmentStore::open(opt).ok());
+    EXPECT_TRUE(SegmentStore::exists(dir));
+    EXPECT_FALSE(SegmentStore::exists(dir + "/missing"));
+}
+
 TEST(StoreRecoveryTest, ForeignPsfSurvivesRecoveryBesideALiveStore)
 {
     const Canonical c = buildCanonicalStore("store_foreign_live");

@@ -3,12 +3,14 @@
 
     cli_check.py flip DIR
         Flip one bit in the middle of the first seg-*.psf in DIR.
-    cli_check.py fails CMD [ARG...]
+    cli_check.py fails [--names TEXT] CMD [ARG...]
         Run CMD; pass only when it exits 1 with exactly one line on
-        stderr: a clean error, not a crash or a sanitizer report.
+        stderr: a clean error, not a crash or a sanitizer report. With
+        --names, that line must also contain TEXT.
     cli_check.py keeps FILE CMD [ARG...]
-        Write a foreign FILE, run CMD; pass only when CMD exits 0 and
-        FILE still holds the same bytes.
+        Write a foreign FILE alone in its directory, run CMD; pass only
+        when CMD fails cleanly (as for `fails`), FILE still holds the
+        same bytes, and CMD created nothing beside it (no JOURNAL).
 """
 import glob
 import os
@@ -31,7 +33,7 @@ def flip(directory):
     return 0
 
 
-def fails(cmd):
+def fails(cmd, names=None):
     done = subprocess.run(cmd, capture_output=True, text=True)
     sys.stdout.write(done.stdout)
     sys.stderr.write(done.stderr)
@@ -40,15 +42,20 @@ def fails(cmd):
         print(f"expected exit 1 and one stderr line, got exit "
               f"{done.returncode} and {len(lines)} line(s)", file=sys.stderr)
         return 1
+    if names is not None and names not in lines[0]:
+        print(f"expected the error to name {names!r}", file=sys.stderr)
+        return 1
     return 0
 
 
 def keeps(path, cmd):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    for name in os.listdir(directory):
+        os.remove(os.path.join(directory, name))
     with open(path, "wb") as f:
         f.write(FOREIGN)
-    done = subprocess.run(cmd)
-    if done.returncode != 0:
+    if fails(cmd) != 0:
         return 1
     if not os.path.exists(path):
         print(f"{path} was deleted", file=sys.stderr)
@@ -57,12 +64,18 @@ def keeps(path, cmd):
         if f.read() != FOREIGN:
             print(f"{path} was changed", file=sys.stderr)
             return 1
+    created = sorted(set(os.listdir(directory)) - {os.path.basename(path)})
+    if created:
+        print(f"created {created} in {directory}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main(argv):
     if len(argv) >= 2 and argv[0] == "flip":
         return flip(argv[1])
+    if len(argv) >= 3 and argv[0] == "fails" and argv[1] == "--names":
+        return fails(argv[3:], names=argv[2])
     if len(argv) >= 2 and argv[0] == "fails":
         return fails(argv[1:])
     if len(argv) >= 3 and argv[0] == "keeps":

@@ -5,7 +5,9 @@
  * A dataset is a segment store directory (docs/STORE.md): a JOURNAL
  * plus one seg-XXXXXXXX.psf file per committed partition. Every dataset
  * command opens it through SegmentStore, so recovery runs first, and
- * reads a partition by id through the journal.
+ * reads a partition by id through the journal. Only gen creates a
+ * store; the other dataset commands exit 1 on a directory that holds
+ * none, and write nothing to it.
  *
  * Subcommands:
  *   gen <dir> --rm N [--partitions P] [--rows R] [--seed S]
@@ -154,7 +156,8 @@ usage()
         "  io [--rm N] [--rows R] [--qd D] [--emulate-latency 0|1]\n"
         "  plan [--rm N] [--file F] [--emit-json]\n"
         "  serve [--rm N] [--epochs E] [--partitions P] [--rows R]\n"
-        "<dir> is a segment store: a JOURNAL plus seg-*.psf files.\n");
+        "<dir> is a segment store: a JOURNAL plus seg-*.psf files;\n"
+        "only gen creates one.\n");
     return 2;
 }
 
@@ -166,14 +169,16 @@ fail(const Status& st)
     return 1;
 }
 
-/** Open (recovering) the segment store that holds the dataset. */
+/** Open (recovering) the segment store that holds the dataset. Only
+    gen creates a store: a directory without one is an error, and
+    nothing is written to it. */
 StatusOr<std::unique_ptr<SegmentStore>>
-openDataset(const std::string& dir, RecoveryReport* report = nullptr,
-            WriterOptions writer = {})
+openDataset(const std::string& dir, RecoveryReport* report = nullptr)
 {
+    if (!SegmentStore::exists(dir))
+        return Status::notFound("no segment store in " + dir);
     SegmentStoreOptions opt;
     opt.directory = dir;
-    opt.writer = std::move(writer);
     return SegmentStore::open(std::move(opt), report);
 }
 
@@ -187,8 +192,19 @@ readPartition(const Args& args)
     auto store = openDataset(args.positional()[0]);
     if (!store.ok())
         return store.status();
-    auto info = (*store)->segmentForPartition(
-        static_cast<uint64_t>(args.getInt("partition", 0)));
+    const auto partition = static_cast<uint64_t>(args.getInt("partition", 0));
+    auto info = (*store)->segmentForPartition(partition);
+    if (info.status().code() == StatusCode::kNotFound) {
+        // Say why when the partition's bytes exist but are damaged.
+        for (const SegmentInfo& seg : (*store)->listSegments()) {
+            if (seg.meta.partition_id == partition &&
+                seg.state == SegmentState::kQuarantined)
+                return Status::corruption(
+                    "partition " + std::to_string(partition) +
+                    ": segment " + std::to_string(seg.meta.segment_id) +
+                    " is quarantined: " + seg.quarantine_reason);
+        }
+    }
     if (!info.ok())
         return info.status();
     return (*store)->readSegmentRaw(info->meta.segment_id);
@@ -227,9 +243,10 @@ cmdGen(const Args& args)
                                         ec.message()));
     // Heat-annotated writes: the async reader stripes pages of hot
     // columns (per the cachesim access model) across flash channels.
-    WriterOptions wopts;
-    wopts.column_heat = columnAccessHeat(cfg);
-    auto store = openDataset(dir, nullptr, std::move(wopts));
+    SegmentStoreOptions sopts;
+    sopts.directory = dir;
+    sopts.writer.column_heat = columnAccessHeat(cfg);
+    auto store = SegmentStore::open(std::move(sopts));
     if (!store.ok())
         return fail(store.status());
     for (long p = 0; p < partitions; ++p) {
