@@ -23,9 +23,6 @@
  * checks still run.)
  */
 #include <algorithm>
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#endif
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -46,7 +43,12 @@
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
 
+#include "bench_host.h"
+
 using namespace presto;
+using presto::bench::printHost;
+using presto::bench::Spread;
+using presto::bench::spreadOf;
 
 namespace {
 
@@ -592,23 +594,6 @@ runEntropyPages(const BenchConfig& bc, bool quick)
     }
 }
 
-/** Median, min and max of one timed quantity over the trials. */
-struct Spread {
-    double median = 0;
-    double min = 0;
-    double max = 0;
-};
-
-Spread
-spreadOf(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    const size_t n = v.size();
-    const double median =
-        n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-    return {median, v.front(), v.back()};
-}
-
 /** `{"median": ..., "min": ..., "max": ...}` of seconds, in ms. */
 std::string
 msJson(const std::vector<double>& secs)
@@ -953,47 +938,6 @@ runEndToEnd(const BenchConfig& bc)
                 "  }\n",
                 rows, bc.e2e_batches, ref_secs, total / ref_secs,
                 fast_secs, total / fast_secs, ref_secs / fast_secs);
-}
-
-/** CPU brand string from CPUID, or "unknown". */
-std::string
-cpuModel()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    unsigned regs[12] = {};
-    if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
-        for (unsigned i = 0; i < 3; ++i)
-            __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
-                        &regs[4 * i + 2], &regs[4 * i + 3]);
-        char brand[sizeof(regs) + 1] = {};
-        std::memcpy(brand, regs, sizeof(regs));
-        std::string s = brand;
-        s.erase(0, s.find_first_not_of(' '));
-        s.erase(s.find_last_not_of(' ') + 1);
-        return s;
-    }
-#endif
-    return "unknown";
-}
-
-/** Where the numbers were taken: host, compiler, build, source. */
-void
-printHost()
-{
-    std::printf("  \"host\": {\"cpu\": \"%s\", \"cores\": %u, "
-                "\"simd\": \"%s\", \"compiler\": \"%s\", "
-                "\"build_type\": \"%s\", \"configured_commit\": "
-                "\"%s\"},\n",
-                cpuModel().c_str(), std::thread::hardware_concurrency(),
-                simdLevelName(detectedSimdLevel()),
-#if defined(__clang__)
-                "clang " __clang_version__,
-#elif defined(__GNUC__)
-                "g++ " __VERSION__,
-#else
-                "unknown",
-#endif
-                PRESTO_BUILD_TYPE, PRESTO_CONFIGURED_COMMIT);
 }
 
 }  // namespace

@@ -33,6 +33,8 @@
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
 
+#include "bench_host.h"
+
 using namespace presto;
 
 namespace {
@@ -165,11 +167,11 @@ runKernels(const BenchConfig& bc)
     constexpr uint64_t kSeed = 0x5eed;
     constexpr int64_t kTable = 500000;
     // Scalar-op weights: multiplies+shifts+xors of one sigridHash (~12),
-    // halves-search steps of one 4096-boundary bisection (12+1), and 1
-    // for the single-op kernels.
+    // the table reads of one radix-indexed lookup (first[slot],
+    // first[slot + 1], then one probe per bisection step), and 1 for
+    // the single-op kernels.
     const double hash_ops = 12.0;
-    const double bucket_ops =
-        std::log2(static_cast<double>(bounds.size())) + 1.0;
+    const double bucket_ops = 2.0 + FastBucketizer(bounds).steps();
 
     std::printf("  \"kernels\": [\n");
 
@@ -360,6 +362,7 @@ main(int argc, char** argv)
                 "  \"detected_simd\": \"%s\",\n",
                 quick ? "true" : "false",
                 simdLevelName(detectedSimdLevel()));
+    bench::printHost();
     runKernels(bc);
     runEndToEnd(bc);
     std::printf("}\n");

@@ -1,5 +1,7 @@
 #include "core/engine_core.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace presto {
@@ -35,7 +37,7 @@ EngineCore::publish(FlowId id, uint64_t sequence)
     if (f.closing || sequence >= f.error_at)
         return false;
     f.published[sequence % f.capacity] = true;
-    ++f.ready;
+    f.max_ready = std::max(f.max_ready, ++f.ready);
     return true;
 }
 

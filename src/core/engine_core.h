@@ -59,6 +59,7 @@ class EngineCore
         uint64_t delivered = 0;  ///< next sequence number to deliver
         size_t in_flight = 0;    ///< claimed, neither published nor failed
         size_t ready = 0;        ///< published, undelivered
+        size_t max_ready = 0;    ///< most ready at once: occupancy
         uint64_t error_at = UINT64_MAX;  ///< latched error's sequence
         Status error;
         bool closing = false;

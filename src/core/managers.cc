@@ -28,7 +28,7 @@ PreprocessManager::PreprocessManager(const RmConfig& config,
                  .locate = [&store](uint64_t seq) -> StatusOr<PartitionRef> {
                      return PartitionRef{&store, seq};
                  },
-                 .program = CompiledProgram::compile(
+                 .program = store.program(
                      TransformPlan::standard(config),
                      Schema::makeRecSys(config.num_dense, config.num_sparse))}
 {

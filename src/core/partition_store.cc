@@ -8,6 +8,21 @@ PartitionStore::PartitionStore(const RawDataGenerator& generator,
 {
 }
 
+std::shared_ptr<const CompiledProgram>
+PartitionStore::program(const TransformPlan& plan, const Schema& schema)
+{
+    const uint64_t fingerprint = schema.fingerprint();
+    std::scoped_lock lock(program_mu_);
+    for (const auto& cached : programs_) {
+        if (cached->inputSchema().fingerprint() == fingerprint &&
+            cached->plan() == plan)
+            return cached;
+    }
+    programs_.push_back(std::make_shared<const CompiledProgram>(
+        CompiledProgram::compile(plan, schema)));
+    return programs_.back();
+}
+
 namespace {
 
 Status

@@ -18,7 +18,8 @@
  * re-cached. So a fetch of a cached partition never waits behind
  * another partition's encode. commit_mu_ serializes the re-check and
  * durable append of a commit (not its encode); it is taken before mu_,
- * never under it.
+ * never under it. program_mu_ guards the compiled-program cache alone
+ * and is never held with another store lock.
  */
 #ifndef PRESTO_CORE_PARTITION_STORE_H_
 #define PRESTO_CORE_PARTITION_STORE_H_
@@ -35,6 +36,7 @@
 #include "common/fault_injector.h"
 #include "core/shell_pool.h"
 #include "datagen/generator.h"
+#include "ops/opvm.h"
 #include "store/segment_store.h"
 
 namespace presto {
@@ -209,6 +211,16 @@ class PartitionStore
     ShellPool& shells() { return shells_; }
 
     /**
+     * The compiled form of @p plan over @p schema, shared by every
+     * flow over this store: the first use compiles it (under
+     * program_mu_, so racing first uses compile once), later uses with
+     * an equal plan and schema fingerprint get the same immutable
+     * program. Cached programs live as long as the store.
+     */
+    std::shared_ptr<const CompiledProgram> program(const TransformPlan& plan,
+                                                   const Schema& schema);
+
+    /**
      * Persistence mode: back this store with an on-disk SegmentStore
      * (not owned; must outlive this object; nullptr disables). Once
      * enabled, persistPartition() commits partitions as durable
@@ -300,6 +312,8 @@ class PartitionStore
     uint64_t disk_reads_ = 0;
     std::set<uint64_t> retired_;  ///< retired partition ids
     ShellPool shells_;  ///< own lock, independent of mu_
+    std::mutex program_mu_;  ///< guards programs_; held over a compile
+    std::vector<std::shared_ptr<const CompiledProgram>> programs_;
 };
 
 /** One partition of one store: what a preprocessing worker reads. */

@@ -47,6 +47,7 @@ PreprocessEngine::~PreprocessEngine()
 PreprocessEngine::FlowId
 PreprocessEngine::open(FlowSpec spec)
 {
+    PRESTO_CHECK(spec.program != nullptr, "a flow needs a program");
     auto flow = std::make_shared<Flow>();
     flow->slots.resize(spec.queue_capacity);
     flow->spec = std::move(spec);
@@ -90,7 +91,7 @@ PreprocessEngine::workerLoop(ThreadPool* decode_pool, IoRing* io_ring)
                                : where.status();
         if (st.ok()) {
             mb = shells_.takeBatch();
-            flow->spec.program.run(shell->batch, *mb, shell->arena);
+            flow->spec.program->run(shell->batch, *mb, shell->arena);
         }
 
         lock.lock();
@@ -106,8 +107,6 @@ PreprocessEngine::workerLoop(ThreadPool* decode_pool, IoRing* io_ring)
             fs.corrupt_refetches += ps.corrupt_refetches;
             fs.hot_tier_hits += ps.hot_tier_hit ? 1 : 0;
             fs.tensor_bytes += mb->byteSize();
-            fs.max_queue_occupancy =
-                std::max(fs.max_queue_occupancy, core_.find(id)->ready);
             flow->slots[seq % flow->slots.size()] = std::move(mb);
         }
         shells_.giveBatch(std::move(mb));  // unpublished; nullptr: no-op
@@ -168,7 +167,9 @@ PreprocessEngine::stats(FlowId id) const
 {
     std::scoped_lock lock(mu_);
     FlowStats stats = flows_.at(id)->stats;
-    stats.delivered = core_.find(id)->delivered;
+    const EngineCore::Flow& flow = *core_.find(id);
+    stats.delivered = flow.delivered;
+    stats.max_queue_occupancy = flow.max_ready;
     return stats;
 }
 

@@ -59,7 +59,8 @@ struct FlowSpec {
     uint64_t limit = UINT64_MAX;  ///< sequence numbers to produce
     /** Store and partition of a sequence number (thread-safe). */
     std::function<StatusOr<PartitionRef>(uint64_t sequence)> locate;
-    CompiledProgram program;  ///< the flow's Transform
+    /** The flow's Transform, immutable and shareable between flows. */
+    std::shared_ptr<const CompiledProgram> program;
 };
 
 /** Counters of one flow, summed over the batches it published. */

@@ -93,7 +93,9 @@ inline constexpr double kMeasuredSimdDecodeSecPerValue =
 // value-granular walk.
 
 /** Fused Transform: output values retired per second on one core
- *  (RM1 end-to-end, best dispatched SIMD level). */
+ *  (RM1 end-to-end, best dispatched SIMD level), as measured before
+ *  the radix-indexed Bucketize; BENCH_fused.json now reports 2-3x this.
+ *  ROADMAP item 5 recalibrates the models from bench_e2e. */
 inline constexpr double kMeasuredFusedValuesPerSec = 1.36e8;
 
 /** Sec/output-value of the measured fused Transform path. */

@@ -1,6 +1,7 @@
 #include "ops/fast_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -27,27 +28,6 @@ fillScalar(float* v, size_t n, float fill)
     for (size_t i = 0; i < n; ++i) {
         if (std::isnan(v[i]))
             v[i] = fill;
-    }
-}
-
-void
-bucketizeScalar(const float* values, int64_t* out, size_t n,
-                const float* bounds, const int32_t* halves,
-                size_t num_halves)
-{
-    for (size_t i = 0; i < n; ++i) {
-        const float v = values[i];
-        // NaN compares false with every boundary, so it lands in bucket
-        // 0 without an explicit isnan branch.
-        int32_t base = 0;
-        for (size_t s = 0; s < num_halves; ++s) {
-            const int32_t half = halves[s];
-            if (bounds[base + half - 1] <= v)
-                base += half;
-        }
-        if (bounds[base] <= v)
-            base += 1;
-        out[i] = base;
     }
 }
 
@@ -126,17 +106,50 @@ fillMissingInPlaceFast(std::span<float> values, float fill_value)
 FastBucketizer::FastBucketizer(const BucketBoundaries& boundaries)
     : bounds_(boundaries.values().begin(), boundaries.values().end())
 {
-    PRESTO_CHECK(bounds_.size() < (size_t{1} << 30),
-                 "boundary array too large for 32-bit bisection");
-    // Value-independent bisection: every search takes the same step
-    // sizes, only the base offset differs. sum(halves) == size - 1, so
-    // the final base is a valid index for the +1 probe.
-    size_t len = bounds_.size();
-    while (len > 1) {
-        const size_t half = len / 2;
-        halves_.push_back(static_cast<int32_t>(half));
-        len -= half;
+    const size_t n = bounds_.size();
+    PRESTO_CHECK(n >= 1 && n < (size_t{1} << 30),
+                 "boundary count out of range for a 32-bit table");
+    PRESTO_CHECK(std::none_of(bounds_.begin(), bounds_.end(),
+                              [](float b) { return std::isnan(b); }),
+                 "bucket boundaries must not be NaN");
+    // Keys are sorted with the bounds; offsets from key0 fit 32 bits
+    // unsigned, since every non-NaN key lies in one 2^32 span.
+    key0_ = simd_detail::bucketKey(bounds_.front());
+    const auto offset = [&](size_t i) {
+        return static_cast<uint32_t>(simd_detail::bucketKey(bounds_[i])) -
+               static_cast<uint32_t>(key0_);
+    };
+    const uint32_t span = offset(n - 1);
+    while ((span >> shift_) >= 2 * n)
+        ++shift_;
+    const uint32_t last_slot = span >> shift_;
+    first_.resize(size_t{last_slot} + 2);
+    size_t i = 0;
+    int32_t widest = 0;
+    for (uint32_t s = 0; s <= last_slot; ++s) {
+        while (i < n && offset(i) < (s << shift_))
+            ++i;
+        first_[s] = static_cast<int32_t>(i);
+        if (s > 0)
+            widest = std::max(widest, first_[s] - first_[s - 1]);
     }
+    first_[size_t{last_slot} + 1] = static_cast<int32_t>(n);
+    widest = std::max(widest, static_cast<int32_t>(n) - first_[last_slot]);
+    steps_ = std::bit_width(static_cast<uint32_t>(widest));
+}
+
+BucketTable
+FastBucketizer::table() const
+{
+    PRESTO_CHECK(!bounds_.empty(), "an empty bucketizer has no table");
+    return BucketTable{
+        .bounds = bounds_.data(),
+        .first = first_.data(),
+        .lowest = bounds_.front(),
+        .key0 = key0_,
+        .shift = shift_,
+        .last_slot = static_cast<uint32_t>(first_.size() - 2),
+        .top_step = steps_ > 0 ? int32_t{1} << (steps_ - 1) : 0};
 }
 
 int64_t
@@ -144,10 +157,7 @@ FastBucketizer::searchBucketId(float value) const
 {
     if (bounds_.empty())
         return 0;
-    int64_t out = 0;
-    simd_detail::bucketizeScalar(&value, &out, 1, bounds_.data(),
-                                 halves_.data(), halves_.size());
-    return out;
+    return simd_detail::bucketIdScalar(value, table());
 }
 
 void
@@ -159,11 +169,11 @@ FastBucketizer::bucketizeInto(std::span<const float> values,
         std::fill(out.begin(), out.end(), int64_t{0});
         return;
     }
-    // Scalar on every level: a whole-column AVX2 gather loop measured
-    // no faster. The fused chains keep their per-register bucketize8.
-    simd_detail::bucketizeScalar(values.data(), out.data(), values.size(),
-                                 bounds_.data(), halves_.data(),
-                                 halves_.size());
+    // Scalar on every level: only the unfused fallback runs this
+    // whole-column form; the fused chains run bucketIds8/bucketIds16.
+    const BucketTable t = table();
+    for (size_t i = 0; i < values.size(); ++i)
+        out[i] = simd_detail::bucketIdScalar(values[i], t);
 }
 
 }  // namespace presto

@@ -6,13 +6,13 @@
 // The per-register bodies live in fast_ops_avx2_inl.h so the fused
 // op-chain VM (opvm_avx2.cc) executes the exact same instruction
 // sequences; these whole-column wrappers just add the loop and the
-// scalar tails (bucketize8 has no wrapper: only the fused chains use
+// scalar tails (bucketIds8 has no wrapper: only the fused chains use
 // it). Every kernel is bit-identical to its scalar counterpart:
 //  - hashMod4 computes the exact 64-bit hash with decomposed 32-bit
 //    multiplies and an exact Barrett reduction for the modulo;
 //  - log8 replays fastLog1p's IEEE op sequence lane-wise;
-//  - bucketize8 runs the same value-independent bisection schedule as
-//    the scalar halves loop, with gathers instead of scalar loads.
+//  - bucketIds8 runs bucketIdScalar's radix-indexed search lane-wise,
+//    with gathers instead of scalar loads.
 #include <immintrin.h>
 
 #include <cmath>

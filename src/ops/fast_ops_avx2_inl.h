@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "ops/fast_ops.h"
 #include "ops/hash.h"
 
 namespace presto::simd_detail {
@@ -184,28 +185,41 @@ clamp8(__m256 v, __m256 lo, __m256 hi)
 }
 
 /**
- * Bucket ids (epi32) for eight values: the same value-independent
- * bisection schedule as the scalar halves loop, gathers instead of
- * scalar loads.
+ * Bucket ids (epi32) for eight values: bucketIdScalar's radix-indexed
+ * search lane-wise, with gathers for the table reads. A lane whose
+ * probe reaches first[slot + 1] gathers nothing and reads NaN, which
+ * compares false.
  */
 inline __m256i
-bucketize8(__m256 x, const float* bounds, const int32_t* halves,
-           size_t num_halves)
+bucketIds8(__m256 x, const BucketTable& t)
 {
-    __m256i base = _mm256_setzero_si256();
-    for (size_t s = 0; s < num_halves; ++s) {
-        const int32_t half = halves[s];
-        __m256i idx =
-            _mm256_add_epi32(base, _mm256_set1_epi32(half - 1));
-        __m256 bv = _mm256_i32gather_ps(bounds, idx, 4);
-        __m256 le = _mm256_cmp_ps(bv, x, _CMP_LE_OQ);
+    const __m256i bits =
+        _mm256_castps_si256(_mm256_add_ps(x, _mm256_setzero_ps()));
+    const __m256i key = _mm256_xor_si256(
+        bits, _mm256_and_si256(_mm256_srai_epi32(bits, 31),
+                               _mm256_set1_epi32(0x7fffffff)));
+    const __m256i d = _mm256_sub_epi32(key, _mm256_set1_epi32(t.key0));
+    const __m256i slot = _mm256_min_epu32(
+        _mm256_srl_epi32(d, _mm_cvtsi32_si128(static_cast<int>(t.shift))),
+        _mm256_set1_epi32(static_cast<int>(t.last_slot)));
+    __m256i base = _mm256_i32gather_epi32(t.first, slot, 4);
+    const __m256i end = _mm256_i32gather_epi32(t.first + 1, slot, 4);
+    const __m256 nan = _mm256_set1_ps(NAN);
+    for (int32_t step = t.top_step; step > 0; step >>= 1) {
+        const __m256i probe =
+            _mm256_add_epi32(base, _mm256_set1_epi32(step - 1));
+        const __m256 live =
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(end, probe));
+        const __m256 bv =
+            _mm256_mask_i32gather_ps(nan, t.bounds, probe, live, 4);
+        const __m256 le = _mm256_cmp_ps(bv, x, _CMP_LE_OQ);
         base = _mm256_add_epi32(
             base, _mm256_and_si256(_mm256_castps_si256(le),
-                                   _mm256_set1_epi32(half)));
+                                   _mm256_set1_epi32(step)));
     }
-    __m256 bv = _mm256_i32gather_ps(bounds, base, 4);
-    __m256 le = _mm256_cmp_ps(bv, x, _CMP_LE_OQ);
-    return _mm256_sub_epi32(base, _mm256_castps_si256(le));  // +1 if le
+    const __m256 in =
+        _mm256_cmp_ps(_mm256_set1_ps(t.lowest), x, _CMP_LE_OQ);
+    return _mm256_and_si256(base, _mm256_castps_si256(in));
 }
 
 }  // namespace presto::simd_detail

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "ops/fast_ops.h"
 #include "ops/hash.h"
 
 namespace presto::simd_detail {
@@ -110,7 +111,7 @@ hashMod8(__m512i h, const Avx512HashConsts& c)
 {
     h = hash8(h, c.vseed, c.vseedk, c.vk1, c.vk2, c.vk3);
     if (c.small) {
-        // Fold the high halves down: u = hi(h)*c32 + lo(h), twice.
+        // Fold the high words down: u = hi(h)*c32 + lo(h), twice.
         // After two folds u < d*c32 + 2^32 <= d^2 + 2^32 < 2^53.
         __m512i u = _mm512_add_epi64(
             _mm512_mul_epu32(_mm512_srli_epi64(h, 32), c.vc32),
@@ -206,6 +207,38 @@ clamp16(__m512 v, __m512 lo, __m512 hi)
         _mm512_cmp_ps_mask(v, lo, _CMP_LT_OQ), v, lo);
     return _mm512_mask_blend_ps(
         _mm512_cmp_ps_mask(hi, t, _CMP_LT_OQ), t, hi);
+}
+
+/** Bucket ids (epi32) for sixteen values: bucketIds8's search at
+    sixteen lanes, masked gathers for the bisection probes. */
+inline __m512i
+bucketIds16(__m512 x, const BucketTable& t)
+{
+    const __m512i bits =
+        _mm512_castps_si512(_mm512_add_ps(x, _mm512_setzero_ps()));
+    const __m512i key = _mm512_xor_si512(
+        bits, _mm512_and_si512(_mm512_srai_epi32(bits, 31),
+                               _mm512_set1_epi32(0x7fffffff)));
+    const __m512i d = _mm512_sub_epi32(key, _mm512_set1_epi32(t.key0));
+    const __m512i slot = _mm512_min_epu32(
+        _mm512_srl_epi32(d, _mm_cvtsi32_si128(static_cast<int>(t.shift))),
+        _mm512_set1_epi32(static_cast<int>(t.last_slot)));
+    __m512i base = _mm512_i32gather_epi32(slot, t.first, 4);
+    const __m512i end = _mm512_i32gather_epi32(slot, t.first + 1, 4);
+    const __m512 nan = _mm512_set1_ps(NAN);
+    for (int32_t step = t.top_step; step > 0; step >>= 1) {
+        const __m512i probe =
+            _mm512_add_epi32(base, _mm512_set1_epi32(step - 1));
+        const __mmask16 live = _mm512_cmpgt_epi32_mask(end, probe);
+        const __m512 bv =
+            _mm512_mask_i32gather_ps(nan, live, probe, t.bounds, 4);
+        const __mmask16 le = _mm512_cmp_ps_mask(bv, x, _CMP_LE_OQ);
+        base = _mm512_mask_add_epi32(base, le, base,
+                                     _mm512_set1_epi32(step));
+    }
+    const __mmask16 in =
+        _mm512_cmp_ps_mask(_mm512_set1_ps(t.lowest), x, _CMP_LE_OQ);
+    return _mm512_maskz_mov_epi32(in, base);
 }
 
 }  // namespace presto::simd_detail

@@ -9,8 +9,12 @@
 #ifndef PRESTO_OPS_FAST_OPS_INTERNAL_H_
 #define PRESTO_OPS_FAST_OPS_INTERNAL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+
+#include "ops/fast_ops.h"
 
 namespace presto::simd_detail {
 
@@ -31,12 +35,40 @@ void fillScalar(float* values, size_t n, float fill);
 void fillAvx2(float* values, size_t n, float fill);
 void fillAvx512(float* values, size_t n, float fill);
 
-// Branchless halves-sequence bucketize (upper_bound semantics, NaN -> 0).
-// bounds/num_bounds: sorted boundary array; halves/num_halves: the
-// value-independent bisection step sizes precomputed by FastBucketizer.
-void bucketizeScalar(const float* values, int64_t* out, size_t n,
-                     const float* bounds, const int32_t* halves,
-                     size_t num_halves);
+/**
+ * Order-preserving 32-bit key of a non-NaN float: -0 becomes +0 (x + 0
+ * rounds it so), then the magnitude bits of negatives flip. Signed key
+ * order is then float order, ties included.
+ */
+inline int32_t
+bucketKey(float v)
+{
+    const float canonical = v + 0.0f;
+    int32_t bits = 0;
+    std::memcpy(&bits, &canonical, sizeof(bits));
+    return bits ^ ((bits >> 31) & 0x7fffffff);
+}
+
+/** Bucket id of one value (upper_bound index, NaN -> 0); the vector
+    tiers run this arithmetic lane-wise. */
+inline int64_t
+bucketIdScalar(float v, const BucketTable& t)
+{
+    // Unsigned difference: no key span wraps. Values below b0 wrap
+    // high and clamp to the last slot; the final mask zeroes them.
+    const uint32_t d =
+        static_cast<uint32_t>(bucketKey(v)) - static_cast<uint32_t>(t.key0);
+    const uint32_t slot = std::min(d >> t.shift, t.last_slot);
+    int32_t base = t.first[slot];
+    const int32_t end = t.first[slot + 1];
+    for (int32_t step = t.top_step; step > 0; step >>= 1) {
+        const int32_t probe = base + step - 1;
+        if (probe < end && t.bounds[probe] <= v)
+            base += step;
+    }
+    // NaN compares false: it lands in bucket 0 with values below b0.
+    return t.lowest <= v ? base : 0;
+}
 
 }  // namespace presto::simd_detail
 

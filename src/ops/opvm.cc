@@ -50,18 +50,33 @@ runGeneratedScalar(const OpInstr* f32_ops, size_t nf32,
 {
     for (size_t i = 0; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash,
+                                 simd_detail::bucketIdScalar(v, bt));
+    }
+}
+
+void
+runGenerated(const OpInstr* f32_ops, size_t nf32, const BucketTable& bt,
+             const OpInstr* hash_ops, size_t nhash, const float* src,
+             size_t n, int64_t* out)
+{
+    switch (activeSimdLevel()) {
+#if defined(PRESTO_HAVE_X86_SIMD)
+      case SimdLevel::kAvx512:
+        runGeneratedAvx512(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
+        return;
+      case SimdLevel::kAvx2:
+        runGeneratedAvx2(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
+        return;
+#endif
+      default:
+        runGeneratedScalar(f32_ops, nf32, bt, hash_ops, nhash, src, n, out);
     }
 }
 
 }  // namespace opvm_detail
 
 namespace {
-
-using opvm_detail::BucketTable;
 
 void
 dispatchDense(const OpInstr* ops, size_t nops, const float* src, size_t n,
@@ -96,28 +111,6 @@ dispatchSparse(const OpInstr* ops, size_t nops, const int64_t* src,
 #endif
       default:
         opvm_detail::runSparseScalar(ops, nops, src, n, dst);
-    }
-}
-
-void
-dispatchGenerated(const OpInstr* f32_ops, size_t nf32,
-                  const BucketTable& bt, const OpInstr* hash_ops,
-                  size_t nhash, const float* src, size_t n, int64_t* out)
-{
-    switch (activeSimdLevel()) {
-#if defined(PRESTO_HAVE_X86_SIMD)
-      case SimdLevel::kAvx512:
-        opvm_detail::runGeneratedAvx512(f32_ops, nf32, bt, hash_ops, nhash,
-                                        src, n, out);
-        return;
-      case SimdLevel::kAvx2:
-        opvm_detail::runGeneratedAvx2(f32_ops, nf32, bt, hash_ops, nhash,
-                                      src, n, out);
-        return;
-#endif
-      default:
-        opvm_detail::runGeneratedScalar(f32_ops, nf32, bt, hash_ops, nhash,
-                                        src, n, out);
     }
 }
 
@@ -451,10 +444,9 @@ CompiledProgram::runGenerated(const CompiledOutput& out,
     const FastBucketizer& bz = bucketizer(bridge.table);
     const OpInstr* hash_ops = out.code.data() + out.num_f32 + 1;
     if (out.fused) {
-        const BucketTable bt{bz.bounds().data(), bz.halves().data(),
-                             bz.halves().size(), bz.bounds().size()};
-        dispatchGenerated(f32_ops, out.num_f32, bt, hash_ops, out.num_hash,
-                          col.values().data(), batch, jag.values.data());
+        opvm_detail::runGenerated(f32_ops, out.num_f32, bz.table(), hash_ops,
+                                  out.num_hash, col.values().data(), batch,
+                                  jag.values.data());
         return;
     }
     std::vector<float>& scratch = arena.f32(o);

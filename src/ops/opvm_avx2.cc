@@ -134,8 +134,7 @@ runGeneratedAvx2(const OpInstr* f32_ops, size_t nf32, const BucketTable& bt,
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
         __m256 x = chain8(_mm256_loadu_ps(src + i), f32_ops, nf32, fc);
-        __m256i b32 =
-            simd_detail::bucketize8(x, bt.bounds, bt.halves, bt.num_halves);
+        __m256i b32 = simd_detail::bucketIds8(x, bt);
         __m256i lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(b32));
         __m256i hi =
             _mm256_cvtepi32_epi64(_mm256_extracti128_si256(b32, 1));
@@ -146,10 +145,8 @@ runGeneratedAvx2(const OpInstr* f32_ops, size_t nf32, const BucketTable& bt,
     }
     for (; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash,
+                                 simd_detail::bucketIdScalar(v, bt));
     }
 }
 

@@ -1,15 +1,12 @@
 // AVX-512 tier of the op-chain VM. Compiled with -mavx512f -mavx512dq
-// -ffp-contract=off (which also enables the AVX2 intrinsics used for
-// the bucketize bridge); only reached when the CPU reports avx512f +
-// avx512dq. Float tiles are 16 lanes wide, hash lane groups 8xi64; the
-// bucketize bridge reuses the 8-lane AVX2 gather body on each half of
-// the float tile — same instruction semantics per element, so the tier
-// stays bit-identical to scalar and AVX2.
+// -ffp-contract=off; only reached when the CPU reports avx512f +
+// avx512dq. Float tiles and the bucketize bridge are 16 lanes wide, hash
+// lane groups 8xi64; every lane runs the scalar tier's operation
+// sequence, so the tier stays bit-identical to scalar and AVX2.
 #include <immintrin.h>
 
 #include <cstdint>
 
-#include "ops/fast_ops_avx2_inl.h"
 #include "ops/fast_ops_avx512_inl.h"
 #include "ops/fast_ops_internal.h"
 #include "ops/opvm_internal.h"
@@ -129,23 +126,17 @@ runGeneratedAvx512(const OpInstr* f32_ops, size_t nf32,
     size_t i = 0;
     for (; i + 16 <= n; i += 16) {
         __m512 x = chain16(_mm512_loadu_ps(src + i), f32_ops, nf32, fc);
-        __m256 xlo = _mm512_castps512_ps256(x);
-        __m256 xhi = _mm512_extractf32x8_ps(x, 1);
-        __m256i blo = simd_detail::bucketize8(xlo, bt.bounds, bt.halves,
-                                              bt.num_halves);
-        __m256i bhi = simd_detail::bucketize8(xhi, bt.bounds, bt.halves,
-                                              bt.num_halves);
-        __m512i lo64 = _mm512_cvtepi32_epi64(blo);
-        __m512i hi64 = _mm512_cvtepi32_epi64(bhi);
+        const __m512i b32 = simd_detail::bucketIds16(x, bt);
+        __m512i lo64 = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(b32));
+        __m512i hi64 =
+            _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(b32, 1));
         _mm512_storeu_si512(out + i, hashChain8(lo64, nhash, hc));
         _mm512_storeu_si512(out + i + 8, hashChain8(hi64, nhash, hc));
     }
     for (; i < n; ++i) {
         const float v = applyF32Scalar(f32_ops, nf32, src[i]);
-        int64_t id = 0;
-        simd_detail::bucketizeScalar(&v, &id, 1, bt.bounds, bt.halves,
-                                     bt.num_halves);
-        out[i] = applyHashScalar(hash_ops, nhash, id);
+        out[i] = applyHashScalar(hash_ops, nhash,
+                                 simd_detail::bucketIdScalar(v, bt));
     }
 }
 

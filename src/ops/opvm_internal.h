@@ -22,14 +22,6 @@
 
 namespace presto::opvm_detail {
 
-/** Bucketize operand view (bounds are never empty for kGenerated). */
-struct BucketTable {
-    const float* bounds = nullptr;
-    const int32_t* halves = nullptr;
-    size_t num_halves = 0;
-    size_t num_bounds = 0;
-};
-
 /** One value through the f32 stage (reference semantics, see ops.h). */
 inline float
 applyF32Scalar(const OpInstr* ops, size_t nops, float v)
@@ -77,6 +69,11 @@ void runGeneratedScalar(const OpInstr* f32_ops, size_t nf32,
                         const BucketTable& bt, const OpInstr* hash_ops,
                         size_t nhash, const float* src, size_t n,
                         int64_t* out);
+
+/** runGeneratedT of the active SIMD tier. */
+void runGenerated(const OpInstr* f32_ops, size_t nf32,
+                  const BucketTable& bt, const OpInstr* hash_ops,
+                  size_t nhash, const float* src, size_t n, int64_t* out);
 
 #if defined(PRESTO_HAVE_X86_SIMD)
 void runDenseAvx2(const OpInstr* ops, size_t nops, const float* src,

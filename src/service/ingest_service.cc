@@ -96,8 +96,9 @@ IngestService::openSession(const TenantSpec& spec)
                   .locate = [epoch = *reader](uint64_t seq) {
                       return epoch.locate(seq % epoch.numPartitions());
                   },
-                  .program = CompiledProgram::compile(std::move(plan),
-                                                      reader->schema())};
+                  .program = std::make_shared<const CompiledProgram>(
+                      CompiledProgram::compile(std::move(plan),
+                                               reader->schema()))};
 
     std::scoped_lock lock(mu_);
     if (options_.admission_control) {

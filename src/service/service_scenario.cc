@@ -131,10 +131,6 @@ ScenarioState::dispatch()
         TenantState* tenant = &tenants[claim->flow];
         const double arrival_time = tenant->backlog.front();
         tenant->backlog.pop_front();
-        const EngineCore::Flow& flow = *engine.find(claim->flow);
-        tenant->report.max_queue_occupancy =
-            std::max(tenant->report.max_queue_occupancy,
-                     static_cast<size_t>(flow.claimed - flow.delivered));
         ++busy;
         // Tiering classification happens at dispatch: a head-epoch
         // stream is a hot-tier read, a lagged pin streams its cold
@@ -413,6 +409,8 @@ runServiceScenario(const ScenarioOptions& options,
         tr.slo_met = tenant.spec->slo_p99_sec <= 0 ||
                      tr.p99_latency_sec <= tenant.spec->slo_p99_sec;
         tr.pinned_epoch = tenant.pinned_epoch;
+        tr.max_queue_occupancy =
+            state.engine.find(tenant.index)->max_ready;
         report.total_arrivals += tr.arrivals;
         report.total_served += tr.served;
         report.tenants.push_back(std::move(tr));

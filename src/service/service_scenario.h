@@ -121,7 +121,9 @@ struct TenantReport {
     double p99_latency_sec = 0;
     double max_latency_sec = 0;
     size_t queue_capacity = 0;
-    size_t max_queue_occupancy = 0;  ///< includes in-flight reservations
+    /** Most published, undelivered batches at once: the engine's
+        FlowStats::max_queue_occupancy, read from EngineCore. */
+    size_t max_queue_occupancy = 0;
     uint64_t backlog_peak = 0;       ///< max requests waiting for a device
     bool slo_met = true;  ///< p99 <= slo (true when no SLO declared)
     uint64_t hot_served = 0;   ///< batches served from the hot head epoch

@@ -473,6 +473,89 @@ TEST(ManagersTest, ConcurrentManagersShareTheStorePool)
               static_cast<size_t>(a.workers + b.workers));
 }
 
+// --- One compiled program per store ----------------------------------------
+
+/** The standard plan and schema a manager over @p cfg compiles. */
+std::shared_ptr<const CompiledProgram>
+standardProgram(PartitionStore& store, const RmConfig& cfg)
+{
+    return store.program(TransformPlan::standard(cfg),
+                         Schema::makeRecSys(cfg.num_dense, cfg.num_sparse));
+}
+
+TEST(ProgramCacheTest, SecondManagerReusesTheStoresProgram)
+{
+    // A second manager over the same store, with the same plan, runs
+    // the program the first one compiled: nothing is validated or
+    // compiled again, and both hold the one pointer the store hands
+    // out. A manager with another plan gets a program of its own.
+    const RmConfig cfg = tinyConfig();
+    RawDataGenerator gen(cfg);
+    PartitionStore store(gen);
+    const uint64_t validations = planValidationCount();
+    PreprocessManager first(cfg, store, PreprocessMode::kPreSto, 2, 4);
+    EXPECT_EQ(planValidationCount(), validations + 1);
+    PreprocessManager second(cfg, store, PreprocessMode::kPreSto, 1, 2);
+    EXPECT_EQ(planValidationCount(), validations + 1)
+        << "the second manager compiled its own program";
+    const auto program = standardProgram(store, cfg);
+    EXPECT_EQ(program.use_count(), 4)  // the store, two managers, here
+        << "the managers do not share the store's program";
+
+    RmConfig other = cfg;
+    other.num_generated = 0;
+    PreprocessManager third(other, store, PreprocessMode::kPreSto, 1, 2);
+    EXPECT_EQ(planValidationCount(), validations + 2);
+    EXPECT_EQ(program.use_count(), 4);
+    EXPECT_NE(standardProgram(store, other), program);
+
+    // A started manager runs the shared program.
+    second.start(3);
+    size_t delivered = 0;
+    while (auto mb = second.nextBatch()) {
+        ++delivered;
+        second.recycle(std::move(mb));
+    }
+    EXPECT_EQ(delivered, 3u);
+    EXPECT_EQ(standardProgram(store, cfg), program);
+}
+
+TEST(ProgramCacheTest, ManagersOpenedAtOnceCompileOnce)
+{
+    // Two managers on one store, constructed from two threads at once,
+    // race the store's first-use compile: one compiles, the other waits
+    // and shares it, and both deliver what a fresh store delivers.
+    const RmConfig cfg = tinyConfig();
+    RawDataGenerator gen(cfg);
+    constexpr size_t kPartitions = 4;
+    const ManagerShape shape{cfg, 2, 3, false};
+    std::vector<uint64_t> want;
+    {
+        PartitionStore fresh(gen);
+        want = epochDigests(shape, fresh, kPartitions);
+    }
+    for (int round = 0; round < 3; ++round) {
+        PartitionStore store(gen);
+        const uint64_t validations = planValidationCount();
+        std::atomic<int> ready{0};
+        std::atomic<int> mismatches{0};
+        const auto run = [&] {
+            ready.fetch_add(1);
+            while (ready.load() < 2)
+                std::this_thread::yield();
+            if (epochDigests(shape, store, kPartitions) != want)
+                mismatches.fetch_add(1);
+        };
+        std::thread a(run);
+        std::thread b(run);
+        a.join();
+        b.join();
+        EXPECT_EQ(mismatches.load(), 0) << "round " << round;
+        EXPECT_EQ(planValidationCount(), validations + 1)
+            << "round " << round << ": the managers compiled twice";
+    }
+}
+
 // --- The worker engine: order and errors ------------------------------------
 
 /** Digests of partitions [0, @p n) of @p store, each produced and
@@ -518,7 +601,7 @@ TEST(PreprocessEngineTest, RetiredPartitionEndsTheFlowAfterEveryEarlierBatch)
     spec.locate = [&store](uint64_t seq) -> StatusOr<PartitionRef> {
         return PartitionRef{&store, seq};
     };
-    spec.program = CompiledProgram::compile(
+    spec.program = store.program(
         TransformPlan::standard(cfg),
         Schema::makeRecSys(cfg.num_dense, cfg.num_sparse));
     const PreprocessEngine::FlowId flow = engine.open(std::move(spec));

@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,7 +22,9 @@
 #include <vector>
 
 #include "datagen/generator.h"
+#include "ops/fast_ops.h"
 #include "ops/opvm.h"
+#include "ops/opvm_internal.h"
 #include "ops/plan.h"
 #include "ops/preprocessor.h"
 #include "ops/simd.h"
@@ -708,6 +711,162 @@ TEST(ValidateOnceTest, CompileValidatesOnceAndCachedRunsNeverRevalidate)
     for (int i = 0; i < 4; ++i)
         pre.preprocessInto(raw, mb, arena);
     EXPECT_EQ(planValidationCount(), compiled);
+}
+
+// --- Radix-indexed Bucketize against the upper_bound oracle ----------------
+
+/** One named boundary set of the differential test. */
+struct BoundarySet {
+    std::string name;
+    std::vector<float> bounds;
+};
+
+float
+floatOfBits(uint32_t bits)
+{
+    return std::bit_cast<float>(bits);
+}
+
+/** Boundary sets that stress the key arithmetic, the slot table and
+    the bisection width. */
+std::vector<BoundarySet>
+radixBoundarySets()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto logSpaced = [](size_t n, float lo, float hi) {
+        const auto b = BucketBoundaries::makeLogSpaced(n, lo, hi);
+        return std::vector<float>(b.values().begin(), b.values().end());
+    };
+    std::vector<BoundarySet> sets;
+    sets.push_back({"log1024", logSpaced(1024, kStandardBucketLo,
+                                         kStandardBucketHi)});
+    sets.push_back({"log4096", logSpaced(4096, 0.02f, 3000.0f)});
+
+    std::mt19937 rng(29);
+    std::vector<float> dups;
+    float acc = -50.0f;
+    for (int i = 0; i < 600; ++i) {
+        acc += static_cast<float>(rng() % 3) * 0.25f;  // steps of 0: ties
+        dups.push_back(acc);
+    }
+    sets.push_back({"duplicates", dups});
+    sets.push_back({"all_equal", std::vector<float>(37, 2.5f)});
+
+    sets.push_back({"zero_only", {0.0f}});
+    sets.push_back({"zero_first", {0.0f, 1.0f, 2.0f, 3.0f}});
+    sets.push_back({"zero_middle", {-1.0f, 0.0f, 1.0f}});
+    sets.push_back({"zero_last", {-2.0f, -1.0f, 0.0f}});
+    sets.push_back({"neg_zero_first", {-0.0f, 0.0f, 0.5f, 7.0f}});
+    std::vector<float> zero_log = logSpaced(255, 1e-3f, 1e3f);
+    zero_log.insert(zero_log.begin(), 0.0f);
+    sets.push_back({"zero_then_log", zero_log});
+
+    std::vector<float> neg = logSpaced(1024, 0.02f, 3000.0f);
+    for (float& v : neg)
+        v = -v;
+    std::reverse(neg.begin(), neg.end());
+    sets.push_back({"all_negative", neg});
+
+    std::vector<float> wide;
+    for (int i = 0; i <= 64; ++i)
+        wide.push_back(static_cast<float>(std::sinh((i - 32) * 2.16)));
+    wide.front() = -1e30f;
+    wide.back() = 1e30f;
+    sets.push_back({"span_1e30", wide});
+    sets.push_back({"span_1e30_pair", {-1e30f, 1e30f}});
+
+    sets.push_back({"infinities", {-inf, -1.0f, 0.0f, 1.0f, inf}});
+    sets.push_back({"infinity_ties", {-inf, -inf, 5.0f, inf, inf}});
+    sets.push_back({"single", {1.5f}});
+    sets.push_back({"single_negative", {-2.0f}});
+    sets.push_back({"single_inf", {inf}});
+
+    std::vector<float> denorm;
+    for (uint32_t bits = 1; bits < 0x00800000u; bits = bits * 3 + 1)
+        denorm.push_back(floatOfBits(bits));
+    std::vector<float> signed_denorm;
+    for (auto it = denorm.rbegin(); it != denorm.rend(); ++it)
+        signed_denorm.push_back(-*it);
+    signed_denorm.insert(signed_denorm.end(), denorm.begin(), denorm.end());
+    sets.push_back({"denormals", denorm});
+    sets.push_back({"signed_denormals", signed_denorm});
+
+    std::vector<float> cluster(4095);
+    for (size_t i = 0; i < cluster.size(); ++i)
+        cluster[i] = 1.0f + 1e-4f * static_cast<float>(i) / 4094.0f;
+    cluster.push_back(1e30f);
+    sets.push_back({"cluster_plus_1e30", cluster});
+    return sets;
+}
+
+/** Every boundary with its neighbours, signed NaN payloads, the
+    specials and random keys. */
+std::vector<float>
+radixQueries(const std::vector<float>& bounds, uint32_t seed)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> q;
+    for (float b : bounds) {
+        q.push_back(b);
+        q.push_back(std::nextafter(b, -inf));
+        q.push_back(std::nextafter(b, inf));
+    }
+    for (uint32_t bits : {0x7fc00000u, 0xffc00000u, 0x7f800001u,
+                          0xff800001u, 0x7fffffffu, 0xffffffffu,
+                          0x7fc0beefu, 0xffa5a5a5u}) {
+        q.push_back(floatOfBits(bits));
+    }
+    for (float v : {0.0f, -0.0f, inf, -inf,
+                    std::numeric_limits<float>::max(),
+                    -std::numeric_limits<float>::max(),
+                    std::numeric_limits<float>::denorm_min(),
+                    -std::numeric_limits<float>::denorm_min()}) {
+        q.push_back(v);
+    }
+    std::mt19937 rng(seed);
+    for (int i = 0; i < 4099; ++i)
+        q.push_back(floatOfBits(static_cast<uint32_t>(rng())));
+    return q;
+}
+
+TEST(RadixBucketizeTest, EveryTierMatchesUpperBound)
+{
+    uint32_t seed = 1;
+    for (const BoundarySet& set : radixBoundarySets()) {
+        const BucketBoundaries oracle(set.bounds);
+        const FastBucketizer fast(oracle);
+        EXPECT_LE(fast.steps(), 13) << set.name;
+        if (set.name.starts_with("log")) {
+            EXPECT_LE(fast.steps(), 2) << set.name;
+        }
+        const std::vector<float> q = radixQueries(set.bounds, seed++);
+        std::vector<int64_t> want(q.size());
+        for (size_t i = 0; i < q.size(); ++i)
+            want[i] = oracle.searchBucketId(q[i]);
+
+        for (SimdLevel level : availableLevels()) {
+            ScopedSimdLevel scoped(level);
+            std::vector<int64_t> fused(q.size(), -1);
+            opvm_detail::runGenerated(nullptr, 0, fast.table(), nullptr, 0,
+                                      q.data(), q.size(), fused.data());
+            std::vector<int64_t> batch(q.size(), -1);
+            fast.bucketizeInto(q, batch);
+            for (size_t i = 0; i < q.size(); ++i) {
+                const int64_t one = fast.searchBucketId(q[i]);
+                if (fused[i] == want[i] && batch[i] == want[i] &&
+                    one == want[i])
+                    continue;
+                ADD_FAILURE()
+                    << set.name << " at " << simdLevelName(level)
+                    << ": value bits 0x" << std::hex
+                    << std::bit_cast<uint32_t>(q[i]) << std::dec << " ("
+                    << q[i] << ") want " << want[i] << ", fused runner "
+                    << fused[i] << ", bucketizeInto " << batch[i]
+                    << ", searchBucketId " << one;
+                break;
+            }
+        }
+    }
 }
 
 }  // namespace
