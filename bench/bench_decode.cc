@@ -9,9 +9,11 @@
  * SSE4.2 implementation, page-parallel whole-file decode over a
  * ThreadPool, the LZ page codec (kernel compress/decompress rates plus
  * the file-level stored ratio and decode cost of codec on vs off), the
- * entropy codec, an RM1 page corpus timed stage by stage (CRC, entropy
- * table build, entropy probe loop, LZ, value decode) and codec by
- * codec, and the end-to-end RM1 Extract+Transform rows/s with the
+ * entropy codec, the bit unpack at every width and SIMD tier, an RM1
+ * page corpus timed stage by stage (CRC, entropy table build, entropy
+ * probe loop, LZ, value decode) and codec by codec, an RM5 plain-page
+ * corpus timed stage by stage per tier (CRC, value unpack, dense,
+ * lengths), and the end-to-end RM1 Extract+Transform rows/s with the
  * fast paths off vs on. A "host" block records where the numbers were
  * taken (CPU, cores, SIMD tier, compiler, build type, the commit the
  * build was configured at). Every timed kernel is differentially checked
@@ -34,6 +36,7 @@
 #include "columnar/columnar_file.h"
 #include "columnar/encoding.h"
 #include "columnar/entropy.h"
+#include "columnar/fast_decode_internal.h"
 #include "columnar/page.h"
 #include "common/batch_arena.h"
 #include "common/crc32.h"
@@ -431,6 +434,16 @@ runCompressedPages(const BenchConfig& bc)
                 lz_secs / plain_secs);
 }
 
+/**
+ * Floor on Huffman decode over the table CRC on the same byte count
+ * (the median of per-trial ratios). It replaces an absolute 1 GB/s
+ * floor, which one binary passed or failed by the host's load alone
+ * (0.86-1.01 GB/s over three runs); the table CRC ran 0.30 GB/s
+ * beside it. Spread in docs/PERF.md, "The tracked baseline:
+ * bench_decode".
+ */
+constexpr double kHuffVsTableCrcMin = 2.5;
+
 [[noreturn]] void
 gateFail(const char* gate, double got, double bound)
 {
@@ -450,12 +463,13 @@ gateFail(const char* gate, double got, double bound)
  * Self-enforcing gates: the full menu must store strictly fewer bytes
  * than LZ-only (always, including --quick — the writer only picks a
  * codec when it is strictly smaller, so this catches menu-selection
- * regressions even on noisy runs). In full mode two absolute gates are
- * also enforced: RM1 stored ratio < 0.815, and Huffman decode >= 1 GB/s
- * on the best (most skewed) corpus — the kind of page the
- * strictly-smallest menu rule actually entropy-codes; near-
- * incompressible payloads fall back to LZ or plain frames and never
- * reach this decoder.
+ * regressions even on noisy runs). In full mode two more gates are
+ * enforced: RM1 stored ratio < 0.815, and on the best (most skewed)
+ * corpus — the kind of page the strictly-smallest menu rule actually
+ * entropy-codes; near-incompressible payloads fall back to LZ or plain
+ * frames and never reach this decoder — Huffman decode at least
+ * kHuffVsTableCrcMin times the table CRC's rate over the same bytes,
+ * timed in the same trials.
  */
 void
 runEntropyPages(const BenchConfig& bc, bool quick)
@@ -481,7 +495,11 @@ runEntropyPages(const BenchConfig& bc, bool quick)
         {"dense_f32_uniform", std::move(dense_f32)},
     };
 
-    double best_decode_gbps = 0.0;
+    // Each decompress trial is paired with the reference loop over the
+    // same byte count: the table CRC, one dependent table probe per
+    // byte in one lane. Their time ratio moves with the code, not with
+    // the host's load the way a GB/s figure does.
+    double best_vs_table_crc = 0.0;
     std::printf("    \"codec\": [\n");
     for (size_t c = 0; c < std::size(corpora); ++c) {
         const auto& raw = corpora[c].raw;
@@ -494,23 +512,35 @@ runEntropyPages(const BenchConfig& bc, bool quick)
         const double comp_secs = bestSeconds(bc.reps, [&] {
             enc::huffCompress(raw, scratch);
         });
-        const double decomp_secs = bestSeconds(bc.reps, [&] {
+        double decomp_secs = 1e300;
+        std::vector<double> vs_crc;
+        volatile uint32_t sink = 0;
+        for (size_t r = 0; r < bc.reps; ++r) {
+            const double t0 = now();
             if (!enc::huffDecompress(packed, back).ok())
                 mismatch("huff codec", corpora[c].name);
-        });
+            const double t1 = now();
+            sink = crc32cTable(raw.data(), raw.size());
+            const double t2 = now();
+            decomp_secs = std::min(decomp_secs, t1 - t0);
+            vs_crc.push_back((t2 - t1) / (t1 - t0));
+        }
+        (void)sink;
+        const double vs_table_crc = spreadOf(vs_crc).median;
+        best_vs_table_crc = std::max(best_vs_table_crc, vs_table_crc);
         const double gb = static_cast<double>(raw.size()) / 1e9;
-        best_decode_gbps = std::max(best_decode_gbps, gb / decomp_secs);
         std::printf("      {\"corpus\": \"%s\", \"raw_bytes\": %zu, "
                     "\"compressed_bytes\": %zu, \"ratio\": %.3f,\n"
                     "       \"compress\": {\"seconds\": %.6e, "
                     "\"raw_gb_per_sec\": %.4f},\n"
                     "       \"decompress\": {\"seconds\": %.6e, "
-                    "\"raw_gb_per_sec\": %.4f}}%s\n",
+                    "\"raw_gb_per_sec\": %.4f, "
+                    "\"speedup_vs_table_crc\": %.3f}}%s\n",
                     corpora[c].name, raw.size(), packed.size(),
                     static_cast<double>(raw.size()) /
                         static_cast<double>(packed.size()),
                     comp_secs, gb / comp_secs, decomp_secs,
-                    gb / decomp_secs,
+                    gb / decomp_secs, vs_table_crc,
                     c + 1 < std::size(corpora) ? "," : "");
     }
     std::printf("    ],\n");
@@ -567,15 +597,16 @@ runEntropyPages(const BenchConfig& bc, bool quick)
                 "\"rows_per_sec\": %.4e, \"decode_slowdown_vs_lz\": "
                 "%.3f}\n"
                 "    },\n"
-                "    \"absolute_gates_enforced\": %s,\n"
+                "    \"full_mode_gates_enforced\": %s,\n"
                 "    \"gates\": {\"full_menu_lt_lz_bytes\": true, "
                 "\"stored_ratio_bound\": 0.815, "
-                "\"huff_decode_gb_per_sec_min\": 1.0}\n"
+                "\"huff_decode_vs_table_crc_min\": %.1f}\n"
                 "  },\n",
                 batch.numRows(), without.size(), with_lz.size(),
                 with_full.size(), ratio_lz, ratio_full, lz_secs,
                 rows / lz_secs, full_secs, rows / full_secs,
-                full_secs / lz_secs, quick ? "false" : "true");
+                full_secs / lz_secs, quick ? "false" : "true",
+                kHuffVsTableCrcMin);
 
     // Relative gate: always on. The menu picks the strictly-smallest
     // frame per page, so the full menu can never store more than
@@ -588,9 +619,9 @@ runEntropyPages(const BenchConfig& bc, bool quick)
         if (!(ratio_full < 0.815))
             gateFail("rm1_stored_ratio_full_menu < 0.815", ratio_full,
                      0.815);
-        if (!(best_decode_gbps >= 1.0))
-            gateFail("huff_decode_gb_per_sec >= 1.0", best_decode_gbps,
-                     1.0);
+        if (!(best_vs_table_crc >= kHuffVsTableCrcMin))
+            gateFail("huff_decode_vs_table_crc", best_vs_table_crc,
+                     kHuffVsTableCrcMin);
     }
 }
 
@@ -869,6 +900,290 @@ runRm1Corpus(size_t trials)
                  kRm1SlowdownVsLzMax);
 }
 
+/** The unpack kernel SimdLevel @p level runs on this CPU. */
+const char*
+unpackTier(SimdLevel level)
+{
+    if (level == SimdLevel::kAvx512 && !avx512BwSupported())
+        level = SimdLevel::kAvx2;  // the AVX-512 unpack needs BW
+    return simdLevelName(level);
+}
+
+/**
+ * Same-process floor on the width-63 unpack speedup, the host's best
+ * tier over unpackBitsWord (the scalar tier): a w-byte masked load per
+ * eight values at AVX-512, 64-bit gathers at AVX2. Set well below what
+ * the tiers measured when introduced (5.5-5.7x and 2.5-2.7x; docs/
+ * PERF.md, Extract section 3), so only a lost tier trips it.
+ */
+double
+unpackW63Floor(const char* tier)
+{
+    if (std::strcmp(tier, "avx512") == 0)
+        return 3.0;
+    if (std::strcmp(tier, "avx2") == 0)
+        return 1.8;
+    return 1.0;
+}
+
+/**
+ * Relative band of the width-63 speedup against the committed baseline
+ * (tools/check_bench_baselines.py): a run on the baseline's tier must
+ * reach ratio * (1 - band). A 20% slower unpack moves the ratio 17%.
+ */
+constexpr double kUnpackW63Band = 0.12;
+
+/**
+ * Bit unpack, kernel by kernel: ns/value at each swept width and tier
+ * (median, min and max over the trials; each trial times 16 unpacks of
+ * the same 16384 values, the tiers alternating within it), and the
+ * width-63 speedup of the best tier over unpackBitsWord. The speedup
+ * is the ratio of the two kernels' fastest trials: host load slows the
+ * scalar loop more than the vector ones, so the median of per-trial
+ * ratios read 5.6-8.6 over runs of one binary, the best-trial ratio
+ * 5.5-5.7. Every tier is checked against getBitsRef first. Sizes and
+ * trials are the same in --quick and full mode, so CI measures the
+ * gated ratio as the baseline did. Gated in every mode: the speedup's
+ * tier floor.
+ */
+void
+runBitUnpack(size_t trials)
+{
+    constexpr size_t kValues = 16384;
+    constexpr size_t kCalls = 16;
+    const size_t widths[] = {1, 7, 13, 25, 32, 57, 58, 63, 64};
+    const auto levels = availableLevels();
+    const SimdLevel best = levels.back();
+    const char* best_tier = unpackTier(best);
+
+    struct Row {
+        size_t width;
+        std::vector<uint8_t> packed;
+        std::vector<std::vector<double>> ns;  ///< [level][trial]
+    };
+    std::vector<Row> rows;
+    Rng rng(63);
+    std::vector<uint64_t> values(kValues), out(kValues);
+    for (size_t w : widths) {
+        const uint64_t mask = w == 64 ? ~0ull : (1ull << w) - 1;
+        for (auto& v : values)
+            v = rng.next() & mask;
+        Row row{w, std::vector<uint8_t>((kValues * w + 7) / 8), {}};
+        enc::detail::packBits(values.data(), kValues, w, row.packed.data());
+        row.ns.resize(levels.size());
+        for (SimdLevel level : levels) {
+            setSimdLevel(level);
+            std::fill(out.begin(), out.end(), ~0ull);
+            enc::detail::unpackBits(row.packed.data(), row.packed.size(), w,
+                                    kValues, out.data(), 0);
+            for (size_t i = 0; i < kValues; ++i)
+                if (out[i] != enc::detail::getBitsRef(row.packed.data(),
+                                                      i * w, w))
+                    mismatch("bit unpack", simdLevelName(level));
+        }
+        rows.push_back(std::move(row));
+    }
+
+    std::vector<double> w63_ratios;
+    for (size_t t = 0; t < trials; ++t) {
+        for (Row& row : rows) {
+            for (size_t l = 0; l < levels.size(); ++l) {
+                setSimdLevel(levels[l]);
+                const double t0 = now();
+                for (size_t c = 0; c < kCalls; ++c)
+                    enc::detail::unpackBits(row.packed.data(),
+                                            row.packed.size(), row.width,
+                                            kValues, out.data(), c);
+                row.ns[l].push_back((now() - t0) * 1e9 /
+                                    static_cast<double>(kCalls * kValues));
+            }
+            if (row.width == 63)
+                w63_ratios.push_back(row.ns.front().back() /
+                                     row.ns.back().back());
+        }
+    }
+    setSimdLevel(detectedSimdLevel());
+
+    const Row& w63 = *std::find_if(rows.begin(), rows.end(),
+                                   [](const Row& r) { return r.width == 63; });
+    const double speedup = spreadOf(w63.ns.front()).min /
+                           spreadOf(w63.ns.back()).min;
+    const Spread per_trial = spreadOf(w63_ratios);
+    const double floor = unpackW63Floor(best_tier);
+    const bool speedup_ok = speedup >= floor;
+    std::printf("  \"bit_unpack\": {\n"
+                "    \"values\": %zu,\n"
+                "    \"calls_per_trial\": %zu,\n"
+                "    \"trials\": %zu,\n"
+                "    \"ns_per_value\": [\n",
+                kValues, kCalls, trials);
+    for (size_t r = 0; r < rows.size(); ++r) {
+        std::printf("      {\"width\": %zu", rows[r].width);
+        for (size_t l = 0; l < levels.size(); ++l) {
+            const Spread sp = spreadOf(rows[r].ns[l]);
+            std::printf(", \"%s\": {\"median\": %.3f, \"min\": %.3f, "
+                        "\"max\": %.3f}",
+                        simdLevelName(levels[l]), sp.median, sp.min, sp.max);
+        }
+        std::printf("}%s\n", r + 1 < rows.size() ? "," : "");
+    }
+    std::printf("    ],\n"
+                "    \"w63_speedup_per_trial\": {\"median\": %.3f, "
+                "\"min\": %.3f, \"max\": %.3f},\n"
+                "    \"gates\": {\"w63_speedup\": {\"tier\": \"%s\", "
+                "\"ratio\": %.2f, \"band\": %.2f, \"floor\": %.1f}, "
+                "\"w63_speedup_ok\": %s}\n"
+                "  },\n",
+                per_trial.median, per_trial.min, per_trial.max, best_tier,
+                speedup, kUnpackW63Band, floor,
+                speedup_ok ? "true" : "false");
+    if (!speedup_ok)
+        gateFail("bit_unpack w63 speedup over unpackBitsWord", speedup,
+                 floor);
+}
+
+/**
+ * RM5 plain-page corpus: one generated 1024-row RM5 partition with no
+ * page codec (the pages rm5_plain_mem decodes), each page's CRC and
+ * value decode timed apart at every SIMD tier, split into the sparse-id
+ * pages (value unpack), the dense pages and the sparse-length pages,
+ * plus whole-partition decode (open + readAllInto). Median, min and max
+ * over the trials; the tiers alternate within each trial.
+ */
+void
+runRm5Corpus(size_t trials)
+{
+    RmConfig cfg = rmConfig(5);
+    cfg.batch_size = 1024;
+    RawDataGenerator gen(cfg);
+    const RowBatch batch = gen.generatePartition(0);
+    WriterOptions plain;
+    plain.codec = PageCodec::kNone;
+    const auto encoded = ColumnarFileWriter(plain).write(batch, 0);
+
+    enum Group { kValues, kDense, kLengths, kNumGroups };
+    struct CorpusPage {
+        std::span<const uint8_t> frame;
+        PageView page;
+        Group group;
+    };
+    std::vector<CorpusPage> pages;
+    ColumnarFileReader reader;
+    std::vector<PageReadPlan> plans;
+    if (!reader.open(encoded).ok() || !reader.planPageReads(plans).ok())
+        mismatch("rm5 corpus", "plan");
+    size_t value_bytes = 0;
+    size_t value_pages = 0;
+    size_t mode0_pages = 0;
+    size_t min_width = 64, max_width = 0;
+    for (const PageReadPlan& plan : plans) {
+        CorpusPage cp;
+        cp.frame = std::span<const uint8_t>(encoded).subspan(
+            plan.offset, plan.frame_bytes);
+        size_t pos = 0;
+        if (!readPageFrame(cp.frame, pos, cp.page).ok() ||
+            cp.page.codec != PageCodec::kNone)
+            mismatch("rm5 corpus", "frame");
+        const bool sparse =
+            reader.footer().columns[plan.column].kind == FeatureKind::kSparse;
+        cp.group = !sparse ? kDense : plan.stream == 1 ? kValues : kLengths;
+        if (cp.group == kValues) {
+            ++value_pages;
+            value_bytes += cp.page.payload.size();
+            if (cp.page.encoding == Encoding::kBitPacked &&
+                cp.page.payload[0] == 0) {
+                ++mode0_pages;
+                // Mode 0: the mode byte, a zigzag-varint base, the width.
+                size_t p = 1;
+                while (cp.page.payload[p] & 0x80)
+                    ++p;
+                const size_t w = cp.page.payload[p + 1];
+                min_width = std::min(min_width, w);
+                max_width = std::max(max_width, w);
+            }
+        }
+        pages.push_back(cp);
+    }
+
+    const auto levels = availableLevels();
+    std::vector<double> crc_s[3], stage_s[3][kNumGroups], file_s[3];
+    std::vector<int64_t> ints, dict;
+    std::vector<float> floats;
+    volatile uint32_t sink = 0;
+    RowBatch decoded;
+    ColumnarFileReader file_reader;
+    for (size_t t = 0; t < trials; ++t) {
+        for (size_t l = 0; l < levels.size(); ++l) {
+            setSimdLevel(levels[l]);
+            double crc = 0;
+            double stage[kNumGroups] = {};
+            for (const CorpusPage& cp : pages) {
+                const PageView& pv = cp.page;
+                const double t0 = now();
+                sink = crc32c(cp.frame.data(), cp.frame.size() - 4);
+                const double t1 = now();
+                Status st;
+                if (cp.group == kDense) {
+                    floats.resize(pv.value_count);
+                    st = enc::decodeF32Into(pv.encoding, pv.payload,
+                                            pv.value_count, floats.data());
+                } else {
+                    ints.resize(pv.value_count);
+                    st = enc::decodeI64Into(pv.encoding, pv.payload,
+                                            pv.value_count, ints.data(), dict);
+                }
+                if (!st.ok())
+                    mismatch("rm5 corpus", "value decode");
+                crc += t1 - t0;
+                stage[cp.group] += now() - t1;
+            }
+            crc_s[l].push_back(crc);
+            for (int g = 0; g < kNumGroups; ++g)
+                stage_s[l][g].push_back(stage[g]);
+            const double f0 = now();
+            if (!file_reader.open(encoded).ok() ||
+                !file_reader.readAllInto(decoded).ok())
+                mismatch("rm5 corpus", "file decode");
+            file_s[l].push_back(now() - f0);
+            if (t == 0 && !(decoded == batch))
+                mismatch("rm5 corpus", simdLevelName(levels[l]));
+        }
+    }
+    (void)sink;
+    setSimdLevel(detectedSimdLevel());
+
+    std::printf("  \"rm5_corpus\": {\n"
+                "    \"workload\": \"RM5\",\n"
+                "    \"rows\": %zu,\n"
+                "    \"menu\": \"%s\",\n"
+                "    \"pages\": %zu,\n"
+                "    \"stored_bytes\": %zu,\n"
+                "    \"value_pages\": %zu,\n"
+                "    \"value_bytes\": %zu,\n"
+                "    \"value_mode0_pages\": %zu,\n"
+                "    \"value_widths\": [%zu, %zu],\n"
+                "    \"trials\": %zu,\n"
+                "    \"by_level\": [\n",
+                batch.numRows(), pageCodecName(PageCodec::kNone),
+                pages.size(), encoded.size(), value_pages, value_bytes,
+                mode0_pages, mode0_pages ? min_width : 0, max_width,
+                trials);
+    for (size_t l = 0; l < levels.size(); ++l) {
+        std::printf("      {\"level\": \"%s\", \"unpack_tier\": \"%s\",\n"
+                    "       \"stages_ms\": {\"crc\": %s, \"value_unpack\": "
+                    "%s, \"dense\": %s, \"lengths\": %s},\n"
+                    "       \"file_decode_ms\": %s}%s\n",
+                    simdLevelName(levels[l]), unpackTier(levels[l]),
+                    msJson(crc_s[l]).c_str(),
+                    msJson(stage_s[l][kValues]).c_str(),
+                    msJson(stage_s[l][kDense]).c_str(),
+                    msJson(stage_s[l][kLengths]).c_str(),
+                    msJson(file_s[l]).c_str(),
+                    l + 1 < levels.size() ? "," : "");
+    }
+    std::printf("    ]\n  },\n");
+}
+
 /**
  * End-to-end RM1 Extract+Transform (open + readAllInto + preprocessInto),
  * with the Extract fast paths pinned off (reference decoders + table
@@ -963,12 +1278,17 @@ main(int argc, char** argv)
                 simdLevelName(detectedSimdLevel()),
                 crc32cHardwareAvailable() ? "true" : "false");
     printHost();
+    // First, so --quick and full runs time it from the same process
+    // state: the committed baseline and CI's quick run compare its
+    // ratio gate.
+    runBitUnpack(25);
     runCrc(bc);
     runDecodeKernels(bc);
     runFileDecode(bc);
     runCompressedPages(bc);
     runEntropyPages(bc, quick);
     runRm1Corpus(25);  // ~0.3 s: the same trials in both modes
+    runRm5Corpus(9);
     runEndToEnd(bc);
     std::printf("}\n");
     return 0;

@@ -534,7 +534,7 @@ decodeI64Into(Encoding encoding, std::span<const uint8_t> payload,
             // the in-place prefix sum reads u[i] before writing out[i].
             detail::unpackBits(payload.data() + h.packed_pos,
                                payload.size() - h.packed_pos, h.width,
-                               count - 1, u + 1);
+                               count - 1, u + 1, 0);
             const auto base = static_cast<uint64_t>(h.base);
             auto prev = static_cast<uint64_t>(h.first);
             out[0] = h.first;
@@ -544,14 +544,12 @@ decodeI64Into(Encoding encoding, std::span<const uint8_t> payload,
             }
             return Status::okStatus();
         }
+        // Mode 0's frame-of-reference add happens in the unpack's store.
         detail::unpackBits(payload.data() + h.packed_pos,
-                           payload.size() - h.packed_pos, h.width, count, u);
-        if (h.mode == 0) {
-            const auto base = static_cast<uint64_t>(h.base);
-            for (size_t i = 0; i < count; ++i)
-                out[i] = static_cast<int64_t>(base + u[i]);
-        } else if (!detail::gatherDict(dict_scratch.data(), h.dict_size, out,
-                                       count)) {
+                           payload.size() - h.packed_pos, h.width, count, u,
+                           h.mode == 0 ? static_cast<uint64_t>(h.base) : 0);
+        if (h.mode == 1 && !detail::gatherDict(dict_scratch.data(),
+                                               h.dict_size, out, count)) {
             return Status::corruption("dictionary index out of range");
         }
         // The header parse validated the exact packed-block size.

@@ -79,10 +79,10 @@ decodeDictIndicesSwar(const uint8_t* in, size_t size, size_t& pos,
 
 void
 unpackBitsWord(const uint8_t* in, size_t in_bytes, size_t width, size_t count,
-               uint64_t* out, uint64_t start_bit)
+               uint64_t* out, uint64_t base, uint64_t start_bit)
 {
     if (width == 0) {
-        std::fill_n(out, count, uint64_t{0});
+        std::fill_n(out, count, base);
         return;
     }
     const uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
@@ -91,7 +91,8 @@ unpackBitsWord(const uint8_t* in, size_t in_bytes, size_t width, size_t count,
     if (width <= 57) {
         // (bit & 7) + width <= 64, so one unaligned word covers any value.
         while (i < count && (bit >> 3) + 8 <= in_bytes) {
-            out[i++] = (load64le(in + (bit >> 3)) >> (bit & 7)) & mask;
+            out[i++] =
+                base + ((load64le(in + (bit >> 3)) >> (bit & 7)) & mask);
             bit += width;
         }
     } else {
@@ -102,12 +103,12 @@ unpackBitsWord(const uint8_t* in, size_t in_bytes, size_t width, size_t count,
             uint64_t v = load64le(in + byte) >> shift;
             if (shift != 0)
                 v |= load64le(in + byte + 8) << (64 - shift);
-            out[i++] = v & mask;
+            out[i++] = base + (v & mask);
             bit += width;
         }
     }
     for (; i < count; ++i, bit += width)
-        out[i] = getBitsRef(in, bit, width);
+        out[i] = base + getBitsRef(in, bit, width);
 }
 
 bool
@@ -125,10 +126,12 @@ gatherDictScalar(const int64_t* dict, uint64_t dict_size, int64_t* inout,
 }
 
 // --- dispatch ------------------------------------------------------------
-// Plain varint decode has a true AVX-512 tier (vpcompressb boundary
-// extraction; needs the byte-compaction CPU bits on top of kAvx512).
-// The other kernels map kAvx512 to the AVX2 variants: those loops are
-// load/shuffle bound and a 512-bit variant measured no faster.
+// Two kernels have a true AVX-512 tier, each behind the ISA bits it
+// uses on top of kAvx512: plain varint decode (vpcompressb boundary
+// extraction; the byte-compaction bits) and bit unpack (a w-byte masked
+// load; BW). The dictionary kernels map kAvx512 to the AVX2 variants:
+// their hot loop is a table gather that a 512-bit register does not
+// widen.
 
 bool
 decodeVarintsBatch(const uint8_t* in, size_t size, size_t& pos, uint64_t* out,
@@ -159,15 +162,16 @@ decodeDictIndices(const uint8_t* in, size_t size, size_t& pos,
 
 void
 unpackBits(const uint8_t* in, size_t in_bytes, size_t width, size_t count,
-           uint64_t* out)
+           uint64_t* out, uint64_t base)
 {
 #if defined(PRESTO_HAVE_X86_SIMD)
-    if (activeSimdLevel() != SimdLevel::kScalar) {
-        unpackBitsAvx2(in, in_bytes, width, count, out);
-        return;
-    }
+    const SimdLevel level = activeSimdLevel();
+    if (level == SimdLevel::kAvx512 && avx512BwSupported())
+        return unpackBitsAvx512(in, in_bytes, width, count, out, base);
+    if (level != SimdLevel::kScalar)
+        return unpackBitsAvx2(in, in_bytes, width, count, out, base);
 #endif
-    unpackBitsWord(in, in_bytes, width, count, out);
+    unpackBitsWord(in, in_bytes, width, count, out, base);
 }
 
 bool

@@ -235,48 +235,54 @@ decodeDictIndicesAvx2(const uint8_t* in, size_t size, size_t& pos,
 
 void
 unpackBitsAvx2(const uint8_t* in, size_t in_bytes, size_t width, size_t count,
-               uint64_t* out)
+               uint64_t* out, uint64_t base)
 {
-    // The 32-bit gather window holds (bit & 7) + width bits, so this
-    // path needs width <= 25; wider values use the 64-bit word path.
-    if (width == 0 || width > 25) {
-        unpackBitsWord(in, in_bytes, width, count, out);
-        return;
+    // The group-of-eight schedule (fast_decode_internal.h): lane j reads
+    // the 64-bit word at byte (j * w) >> 3 of its group and shifts it by
+    // (j * w) & 7. Above 56 bits a value can span 9 bytes, so the word
+    // one byte on is stitched in too, shifted left by 8 - shift bits:
+    // where the two words overlap they hold the same bits.
+    alignas(32) int64_t off[8];
+    alignas(32) int64_t shift[8];
+    alignas(32) int64_t back[8];
+    for (size_t j = 0; j < 8; ++j) {
+        off[j] = static_cast<int64_t>((j * width) >> 3);
+        shift[j] = static_cast<int64_t>((j * width) & 7);
+        back[j] = 8 - shift[j];
     }
-    const uint32_t mask = (1u << width) - 1;
-    alignas(32) uint32_t lane_bits[8];
-    for (uint32_t k = 0; k < 8; ++k)
-        lane_bits[k] = k * static_cast<uint32_t>(width);
-    const __m256i vlane =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_bits));
-    const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-    const __m256i vseven = _mm256_set1_epi32(7);
+    const bool stitch = width > 56;
+    // Bytes one group's gathers touch past the group's first byte.
+    const size_t reach = static_cast<size_t>(off[7]) + (stitch ? 9 : 8);
+    const auto load4 = [](const int64_t* v) {
+        return _mm256_load_si256(reinterpret_cast<const __m256i*>(v));
+    };
+    const __m256i voff[2] = {load4(off), load4(off + 4)};
+    const __m256i vshift[2] = {load4(shift), load4(shift + 4)};
+    const __m256i vback[2] = {load4(back), load4(back + 4)};
+    const __m256i one = _mm256_set1_epi64x(1);
+    const __m256i vmask = _mm256_set1_epi64x(
+        static_cast<long long>(width == 64 ? ~0ull : (1ull << width) - 1));
+    const __m256i vbase = _mm256_set1_epi64x(static_cast<long long>(base));
     size_t i = 0;
-    uint64_t bit = 0;
-    // The bit cap keeps offsets in int32 range for the epi32 math; real
-    // pages stay far below it, the word path covers anything beyond.
-    while (i + 8 <= count && bit <= (1u << 30)) {
-        // Last lane reads 4 bytes at byte offset (bit + 7w) >> 3.
-        if (((bit + 7 * width) >> 3) + 4 > in_bytes)
-            break;
-        const __m256i vbits = _mm256_add_epi32(
-            _mm256_set1_epi32(static_cast<int>(bit)), vlane);
-        const __m256i voff = _mm256_srli_epi32(vbits, 3);
-        const __m256i vshift = _mm256_and_si256(vbits, vseven);
-        const __m256i raw = _mm256_i32gather_epi32(
-            reinterpret_cast<const int*>(in), voff, 1);
-        const __m256i vals =
-            _mm256_and_si256(_mm256_srlv_epi32(raw, vshift), vmask);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out + i),
-            _mm256_cvtepu32_epi64(_mm256_castsi256_si128(vals)));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out + i + 4),
-            _mm256_cvtepu32_epi64(_mm256_extracti128_si256(vals, 1)));
-        i += 8;
-        bit += 8 * width;
+    for (; i + 8 <= count && (i >> 3) * width + reach <= in_bytes; i += 8) {
+        const auto* group =
+            reinterpret_cast<const long long*>(in + (i >> 3) * width);
+        for (int h = 0; h < 2; ++h) {
+            __m256i v = _mm256_srlv_epi64(
+                _mm256_i64gather_epi64(group, voff[h], 1), vshift[h]);
+            if (stitch) {
+                v = _mm256_or_si256(
+                    v, _mm256_sllv_epi64(
+                           _mm256_i64gather_epi64(
+                               group, _mm256_add_epi64(voff[h], one), 1),
+                           vback[h]));
+            }
+            v = _mm256_add_epi64(_mm256_and_si256(v, vmask), vbase);
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i + 4 * h),
+                                v);
+        }
     }
-    unpackBitsWord(in, in_bytes, width, count - i, out + i, bit);
+    unpackBitsWord(in, in_bytes, width, count - i, out + i, base, i * width);
 }
 
 bool

@@ -1,36 +1,85 @@
 /**
  * @file
- * AVX-512 varint decode kernel (used at SimdLevel::kAvx512 on CPUs with
- * the BW + VBMI + VBMI2 byte-compaction extensions; see
- * avx512ByteCompactionSupported()). Compiled with the AVX-512 byte ISA
- * flags only in this translation unit; reached solely behind the runtime
- * CPU checks via the dispatcher in fast_decode.cc. Bit-identical to the
- * AVX2/SWAR/reference tiers.
+ * AVX-512 decode kernels, each used at SimdLevel::kAvx512 behind the
+ * ISA bits it uses: the bit unpack needs BW (avx512BwSupported()), the
+ * varint decoder also VBMI + VBMI2 (avx512ByteCompactionSupported()).
+ * This translation unit is compiled with -mavx512f -mavx512bw; the
+ * varint decoder alone adds VBMI/VBMI2 through a target attribute, so
+ * no other code here can pick up those instructions. Reached solely
+ * behind the runtime CPU checks via the dispatcher in fast_decode.cc.
+ * Bit-identical to the AVX2/SWAR/reference tiers.
  *
- * The AVX2 tier processes 32-byte windows with a serial tzcnt chain over
- * the continuation mask. This tier doubles the window and replaces the
- * chain with byte compaction: one vpcompressb turns the 64-bit
- * terminator mask into a dense list of terminator positions, and one
- * masked vpermb per eight varints aligns each varint's payload bytes
- * into its own 64-bit lane — the boundary scan becomes data-parallel
- * instead of a loop-carried bit-scan. Payloads then compact from 8x7
- * LEB128 groups to values entirely in registers (the 3-round compact7
- * sequence, 8 lanes at a time).
+ * Bit unpack: one group of eight w-bit values is exactly w bytes, so a
+ * w-byte masked load (never past the packed block, since masked-off
+ * bytes are not read) brings in a whole group, and two qword permutes
+ * hand lane j its word (j * w) >> 6 and the next one. A variable
+ * right/left shift pair joins them (a left count of 64 yields 0, so no
+ * lane branches), then the mask and the frame-of-reference add.
  *
- * Only the plain varint decoder gets this tier: the dictionary-index
- * decoder's hot path is the 1..2-byte splice (already one shuffle per 8
- * indices on AVX2) plus a table gather that does not widen, so a 512-bit
- * variant adds nothing there and it stays on the AVX2 kernels.
+ * Varint decode: the AVX2 tier processes 32-byte windows with a serial
+ * tzcnt chain over the continuation mask. This tier doubles the window
+ * and replaces the chain with byte compaction: one vpcompressb turns
+ * the 64-bit terminator mask into a dense list of terminator positions,
+ * and one masked vpermb per eight varints aligns each varint's payload
+ * bytes into its own 64-bit lane — the boundary scan becomes
+ * data-parallel instead of a loop-carried bit-scan. Payloads then
+ * compact from 8x7 LEB128 groups to values entirely in registers (the
+ * 3-round compact7 sequence, 8 lanes at a time). The dictionary-index
+ * decoder stays on the AVX2 kernels: its hot path is the 1..2-byte
+ * splice plus a table gather that does not widen.
  */
 #if defined(PRESTO_HAVE_X86_SIMD)
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 #include "columnar/fast_decode_internal.h"
 
 namespace presto::enc::detail {
 
-bool
+void
+unpackBitsAvx512(const uint8_t* in, size_t in_bytes, size_t width,
+                 size_t count, uint64_t* out, uint64_t base)
+{
+    alignas(64) uint64_t word[8];
+    alignas(64) uint64_t next[8];
+    alignas(64) uint64_t shift[8];
+    alignas(64) uint64_t back[8];
+    for (size_t j = 0; j < 8; ++j) {
+        word[j] = (j * width) >> 6;
+        next[j] = std::min<uint64_t>(word[j] + 1, 7);
+        shift[j] = (j * width) & 63;
+        back[j] = 64 - shift[j];
+    }
+    const auto load8 = [](const uint64_t* v) {
+        return _mm512_load_si512(reinterpret_cast<const void*>(v));
+    };
+    const __m512i vword = load8(word);
+    const __m512i vnext = load8(next);
+    const __m512i vshift = load8(shift);
+    const __m512i vback = load8(back);
+    const __m512i vmask = _mm512_set1_epi64(
+        static_cast<long long>(width == 64 ? ~0ull : (1ull << width) - 1));
+    const __m512i vbase = _mm512_set1_epi64(static_cast<long long>(base));
+    const __mmask64 bytes = width == 64 ? ~__mmask64{0}
+                                        : (__mmask64{1} << width) - 1;
+    const size_t groups = count / 8;
+    for (size_t g = 0; g < groups; ++g) {
+        const __m512i v = _mm512_maskz_loadu_epi8(bytes, in + g * width);
+        const __m512i lo = _mm512_permutexvar_epi64(vword, v);
+        const __m512i hi = _mm512_permutexvar_epi64(vnext, v);
+        const __m512i x = _mm512_or_si512(_mm512_srlv_epi64(lo, vshift),
+                                          _mm512_sllv_epi64(hi, vback));
+        _mm512_storeu_si512(
+            reinterpret_cast<void*>(out + 8 * g),
+            _mm512_add_epi64(_mm512_and_si512(x, vmask), vbase));
+    }
+    unpackBitsWord(in, in_bytes, width, count - 8 * groups, out + 8 * groups,
+                   base, 8 * groups * width);
+}
+
+__attribute__((target("avx512vbmi,avx512vbmi2"))) bool
 decodeVarintsAvx512(const uint8_t* in, size_t size, size_t& pos,
                     uint64_t* out, size_t count)
 {

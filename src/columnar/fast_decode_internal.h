@@ -5,18 +5,28 @@
  *
  * The public entry points stay enc::decodeI64/decodeF32; encoding.cc
  * routes their hot loops through the dispatched batch kernels declared
- * here. Three tiers exist:
+ * here. The tiers:
  *
  *  - byte-wise reference loops (in encoding.cc, via decodeI64Reference):
  *    the semantics oracle, also what pre-SIMD builds of this repo ran;
  *  - portable SWAR kernels (fast_decode.cc): 8-byte word loads, used at
  *    SimdLevel::kScalar and on non-x86 builds;
  *  - AVX2 kernels (fast_decode_avx2.cc, per-file -mavx2): used at
- *    kAvx2, and at kAvx512 for everything but plain varint decode (those
- *    loops are load/shuffle bound, so a 512-bit variant adds nothing);
- *  - an AVX-512 varint kernel (fast_decode_avx512.cc): vpcompressb
- *    boundary extraction over 64-byte windows, used at kAvx512 when the
- *    CPU has the byte-compaction extensions (BW + VBMI + VBMI2).
+ *    kAvx2, and at kAvx512 for the dictionary kernels (a table gather
+ *    that does not widen) and wherever the CPU lacks an AVX-512 tier's
+ *    extra ISA bits;
+ *  - AVX-512 kernels (fast_decode_avx512.cc): the bit unpack (needs
+ *    AVX-512 BW for its byte-masked load) and the varint decoder
+ *    (vpcompressb boundary extraction over 64-byte windows; needs the
+ *    byte-compaction extensions BW + VBMI + VBMI2).
+ *
+ * Bit unpack has one schedule in every vector tier: eight w-bit values
+ * fill exactly w bytes, so lane j of every group of eight starts at bit
+ * j * w of the group, and its word and shift are constants set once per
+ * call. Each group is then one load (AVX-512: a w-byte masked load and
+ * two qword permutes; AVX2: 64-bit gathers at the lanes' byte offsets)
+ * plus shifts, a mask and the frame-of-reference add. unpackBitsWord is
+ * the scalar tier and the vector tiers' byte-exact tail.
  *
  * Every tier is bit-identical: same outputs for valid input, failure
  * (-> kCorruption at the caller) for exactly the same malformed inputs.
@@ -302,12 +312,13 @@ bool decodeDictIndicesSwar(const uint8_t* in, size_t size, size_t& pos,
 
 /**
  * Unpack @p count @p width-bit values (LSB-first) from @p in, starting
- * at bit offset @p start_bit, via unaligned word windows with a
- * byte-exact tail. The caller guarantees the packed bits lie within
- * @p in_bytes.
+ * at bit offset @p start_bit, and store each plus @p base (wrapping;
+ * the frame of reference) via unaligned word windows with a byte-exact
+ * tail. The caller guarantees the packed bits lie within @p in_bytes.
  */
 void unpackBitsWord(const uint8_t* in, size_t in_bytes, size_t width,
-                    size_t count, uint64_t* out, uint64_t start_bit = 0);
+                    size_t count, uint64_t* out, uint64_t base = 0,
+                    uint64_t start_bit = 0);
 
 /**
  * Replace @p count indices stored in @p inout (as uint64) with
@@ -325,14 +336,18 @@ bool decodeDictIndicesAvx2(const uint8_t* in, size_t size, size_t& pos,
                            const int64_t* dict, uint64_t dict_size,
                            int64_t* out, size_t count);
 void unpackBitsAvx2(const uint8_t* in, size_t in_bytes, size_t width,
-                    size_t count, uint64_t* out);
+                    size_t count, uint64_t* out, uint64_t base);
 bool gatherDictAvx2(const int64_t* dict, uint64_t dict_size, int64_t* inout,
                     size_t count);
 
 // --- AVX-512 kernels (fast_decode_avx512.cc) -----------------------------
-// Requires the byte-compaction extensions (BW + VBMI + VBMI2) on top of
-// SimdLevel::kAvx512 — see avx512ByteCompactionSupported(). 64-byte
-// windows, vpcompressb boundary extraction, vpermb payload alignment.
+// The unpack requires AVX-512 BW on top of SimdLevel::kAvx512 (see
+// avx512BwSupported()). The varint decoder requires the byte-compaction
+// extensions (BW + VBMI + VBMI2; see avx512ByteCompactionSupported()):
+// 64-byte windows, vpcompressb boundary extraction, vpermb payload
+// alignment.
+void unpackBitsAvx512(const uint8_t* in, size_t in_bytes, size_t width,
+                      size_t count, uint64_t* out, uint64_t base);
 bool decodeVarintsAvx512(const uint8_t* in, size_t size, size_t& pos,
                          uint64_t* out, size_t count);
 #endif
@@ -348,9 +363,12 @@ bool decodeDictIndices(const uint8_t* in, size_t size, size_t& pos,
                        const int64_t* dict, uint64_t dict_size, int64_t* out,
                        size_t count);
 
-/** Fixed-width unpack at the active SIMD level. */
+/**
+ * Fixed-width unpack plus frame-of-reference @p base at the active SIMD
+ * level (unpackBitsWord's contract, from bit 0).
+ */
 void unpackBits(const uint8_t* in, size_t in_bytes, size_t width,
-                size_t count, uint64_t* out);
+                size_t count, uint64_t* out, uint64_t base);
 
 /** In-place dictionary materialization at the active SIMD level. */
 bool gatherDict(const int64_t* dict, uint64_t dict_size, int64_t* inout,

@@ -28,9 +28,7 @@ PreprocessManager::PreprocessManager(const RmConfig& config,
                  .locate = [&store](uint64_t seq) -> StatusOr<PartitionRef> {
                      return PartitionRef{&store, seq};
                  },
-                 .program = store.program(
-                     TransformPlan::standard(config),
-                     Schema::makeRecSys(config.num_dense, config.num_sparse))}
+                 .program = store.standardProgram(config)}
 {
     PRESTO_CHECK(queue_capacity >= 1, "queue capacity must be positive");
 }

@@ -23,6 +23,26 @@ PartitionStore::program(const TransformPlan& plan, const Schema& schema)
     return programs_.back();
 }
 
+std::shared_ptr<const CompiledProgram>
+PartitionStore::standardProgram(const RmConfig& config)
+{
+    const auto key = TransformPlan::standardKey(config);
+    {
+        std::scoped_lock lock(program_mu_);
+        for (const auto& [k, cached] : standard_programs_)
+            if (k == key)
+                return cached.lock();
+    }
+    auto compiled = program(
+        TransformPlan::standard(config),
+        Schema::makeRecSys(config.num_dense, config.num_sparse));
+    // Racing first uses may index the key twice; program() handed both
+    // the same program.
+    std::scoped_lock lock(program_mu_);
+    standard_programs_.emplace_back(key, compiled);
+    return compiled;
+}
+
 namespace {
 
 Status

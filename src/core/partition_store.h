@@ -24,6 +24,7 @@
 #ifndef PRESTO_CORE_PARTITION_STORE_H_
 #define PRESTO_CORE_PARTITION_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -221,6 +222,14 @@ class PartitionStore
                                                    const Schema& schema);
 
     /**
+     * program() of TransformPlan::standard(@p config) over the RecSys
+     * schema of @p config. Looked up by TransformPlan::standardKey, so
+     * only the first use of a key builds the plan and schema.
+     */
+    std::shared_ptr<const CompiledProgram>
+    standardProgram(const RmConfig& config);
+
+    /**
      * Persistence mode: back this store with an on-disk SegmentStore
      * (not owned; must outlive this object; nullptr disables). Once
      * enabled, persistPartition() commits partitions as durable
@@ -314,6 +323,13 @@ class PartitionStore
     ShellPool shells_;  ///< own lock, independent of mu_
     std::mutex program_mu_;  ///< guards programs_; held over a compile
     std::vector<std::shared_ptr<const CompiledProgram>> programs_;
+    /**
+     * standardProgram()'s index into programs_ (under program_mu_); weak,
+     * since programs_ already keeps every program alive.
+     */
+    std::vector<std::pair<std::array<size_t, 5>,
+                          std::weak_ptr<const CompiledProgram>>>
+        standard_programs_;
 };
 
 /** One partition of one store: what a preprocessing worker reads. */

@@ -154,6 +154,13 @@ TransformPlan::standard(const RmConfig& config)
     return plan;
 }
 
+std::array<size_t, 5>
+TransformPlan::standardKey(const RmConfig& config)
+{
+    return {config.num_dense, config.num_sparse, config.num_generated,
+            config.bucket_size, config.avg_embeddings};
+}
+
 PlanExecutor::PlanExecutor(TransformPlan plan, const Schema& input_schema)
     : program_(std::make_shared<const CompiledProgram>(
           CompiledProgram::compile(std::move(plan), input_schema)))

@@ -16,6 +16,7 @@
 #ifndef PRESTO_OPS_PLAN_H_
 #define PRESTO_OPS_PLAN_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -150,6 +151,13 @@ class TransformPlan
      * Matches Preprocessor bit for bit.
      */
     static TransformPlan standard(const RmConfig& config);
+
+    /**
+     * Every field of @p config that standard() reads: configs with equal
+     * keys have equal standard plans, and (through num_dense and
+     * num_sparse) equal RecSys schemas.
+     */
+    static std::array<size_t, 5> standardKey(const RmConfig& config);
 
     friend bool
     operator==(const TransformPlan& x, const TransformPlan& y)

@@ -99,6 +99,17 @@ avx512ByteCompactionSupported()
 #endif
 }
 
+bool
+avx512BwSupported()
+{
+#if defined(PRESTO_HAVE_X86_SIMD)
+    static const bool supported = __builtin_cpu_supports("avx512bw");
+    return supported;
+#else
+    return false;
+#endif
+}
+
 const char*
 simdLevelName(SimdLevel level)
 {

@@ -45,6 +45,13 @@ const char* simdLevelName(SimdLevel level);
  */
 bool avx512ByteCompactionSupported();
 
+/**
+ * True when the CPU also has AVX-512 BW (byte-granular masks), used by
+ * the bit-unpack tier's w-byte masked load. Checked separately for the
+ * same reason; without it the unpack stays on the AVX2 kernel.
+ */
+bool avx512BwSupported();
+
 }  // namespace presto
 
 #endif  // PRESTO_OPS_SIMD_H_

@@ -8,11 +8,14 @@
  * must reproduce serial decode exactly.
  */
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -27,6 +30,14 @@
 #include "ops/simd.h"
 
 namespace presto {
+
+/** gtest prints a SIMD tier parameter by name. */
+void
+PrintTo(SimdLevel level, std::ostream* os)
+{
+    *os << simdLevelName(level);
+}
+
 namespace {
 
 /** Every dispatch level available on this machine, scalar first. */
@@ -658,6 +669,151 @@ TEST(BitPackedTest, AdversarialPayloadsAreRejectedEverywhere)
                   .code(),
               StatusCode::kCorruption);
 }
+
+// --- bit unpack flush against a guard page --------------------------------
+
+/**
+ * A writable region whose last byte sits flush against a PROT_NONE
+ * page: a decoder that reads one byte past a payload placed there
+ * faults.
+ */
+class GuardedRegion
+{
+  public:
+    explicit GuardedRegion(size_t capacity)
+        : page_(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
+          bytes_((capacity + page_ - 1) / page_ * page_)
+    {
+        void* base = mmap(nullptr, bytes_ + page_, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base == MAP_FAILED)
+            return;
+        base_ = static_cast<uint8_t*>(base);
+        if (mprotect(base_ + bytes_, page_, PROT_NONE) != 0) {
+            munmap(base_, bytes_ + page_);
+            base_ = nullptr;
+        }
+    }
+    ~GuardedRegion()
+    {
+        if (base_ != nullptr)
+            munmap(base_, bytes_ + page_);
+    }
+    GuardedRegion(const GuardedRegion&) = delete;
+    GuardedRegion& operator=(const GuardedRegion&) = delete;
+
+    bool ok() const { return base_ != nullptr; }
+
+    /** Copy @p bytes so that they end at the guard page. */
+    std::span<const uint8_t>
+    place(const std::vector<uint8_t>& bytes)
+    {
+        uint8_t* at = base_ + bytes_ - bytes.size();
+        if (!bytes.empty())
+            std::memcpy(at, bytes.data(), bytes.size());
+        return {at, bytes.size()};
+    }
+
+  private:
+    size_t page_;
+    size_t bytes_;
+    uint8_t* base_ = nullptr;
+};
+
+class BitUnpackGuardPageTest : public ::testing::TestWithParam<SimdLevel>
+{};
+
+TEST_P(BitUnpackGuardPageTest, EveryWidthCountAndModeMatchesReference)
+{
+    const SimdLevel level = GetParam();
+    if (level > detectedSimdLevel())
+        GTEST_SKIP() << simdLevelName(level) << " tier absent on this CPU";
+    if (level == SimdLevel::kAvx512 && !avx512BwSupported())
+        GTEST_SKIP() << "avx512 unpack tier absent (no AVX-512 BW)";
+    ScopedSimdLevel scoped(level);
+    // Largest payload: 4097 values at 64 bits plus a short header.
+    GuardedRegion region(4097 * 8 + 64);
+    ASSERT_TRUE(region.ok()) << "mmap of the guarded region failed";
+
+    const std::vector<int64_t> dict{-7, 0, 999'983,
+                                    std::numeric_limits<int64_t>::min(),
+                                    std::numeric_limits<int64_t>::max()};
+    std::mt19937_64 rng(30);
+    size_t checked = 0;
+    const auto agree = [&](const std::vector<uint8_t>& payload, size_t n,
+                           const std::string& what) {
+        const std::span<const uint8_t> placed = region.place(payload);
+        std::vector<int64_t> want, ref_dict;
+        const Status ref = enc::decodeI64Reference(
+            Encoding::kBitPacked, placed, n, want, ref_dict);
+        std::vector<int64_t> got(n, int64_t{0x5a5a5a5a5a5a5a5a});
+        std::vector<int64_t> scratch;
+        const Status fast = enc::decodeI64Into(Encoding::kBitPacked, placed,
+                                               n, got.data(), scratch);
+        ++checked;
+        ASSERT_EQ(fast.code(), ref.code())
+            << what << " ref=" << ref.toString()
+            << " fast=" << fast.toString();
+        if (ref.ok()) {
+            ASSERT_EQ(got, want) << what;
+        }
+    };
+    for (unsigned width = 0; width <= 64; ++width) {
+        const uint64_t mask =
+            width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+        for (size_t n : {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4097}) {
+            for (int mode = 0; mode <= 2; ++mode) {
+                const size_t packed_count = mode == 2 ? n - 1 : n;
+                std::vector<uint64_t> packed(packed_count);
+                // Mode 1 indexes a 5-entry dictionary at every width.
+                const uint64_t limit =
+                    width >= 3 ? dict.size() : uint64_t{1} << width;
+                for (uint64_t& v : packed)
+                    v = mode == 1 ? rng() % limit : rng() & mask;
+                const auto base = static_cast<int64_t>(rng());
+                std::vector<uint8_t> payload =
+                    mode == 0 ? makeDirectPayload(base, packed, width)
+                    : mode == 1
+                        ? makeDictPayload(dict, packed, width)
+                        : makeDeltaPayload(static_cast<int64_t>(rng()),
+                                           base, packed, width);
+                const std::string what =
+                    "mode=" + std::to_string(mode) +
+                    " width=" + std::to_string(width) +
+                    " n=" + std::to_string(n);
+                agree(payload, n, what);
+                const size_t packed_bits = packed_count * width;
+                if (packed_bits == 0)
+                    continue;
+                // Malformed: the block one byte short, and (when the
+                // last byte is partial) a set bit past the last value.
+                std::vector<uint8_t> shorter = payload;
+                shorter.pop_back();
+                agree(shorter, n, what + " one byte short");
+                if (packed_bits % 8 != 0) {
+                    std::vector<uint8_t> trailing = payload;
+                    trailing.back() |= 0x80;
+                    agree(trailing, n, what + " nonzero trailing bits");
+                }
+                if (mode == 1 && limit == dict.size()) {
+                    // An index past the dictionary, in the last value.
+                    packed.back() = dict.size();
+                    agree(makeDictPayload(dict, packed, width), n,
+                          what + " index out of range");
+                }
+            }
+        }
+    }
+    EXPECT_GT(checked, size_t{65 * 11 * 3});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, BitUnpackGuardPageTest,
+    ::testing::Values(SimdLevel::kScalar, SimdLevel::kAvx2,
+                      SimdLevel::kAvx512),
+    [](const ::testing::TestParamInfo<SimdLevel>& info) {
+        return std::string(simdLevelName(info.param));
+    });
 
 // --- random differential fuzz ---------------------------------------------
 

@@ -702,12 +702,12 @@ TEST(ZeroAllocTest, SecondEpochOverAStoreReusesItsShells)
     EXPECT_LT(second.bytes * 20, first.bytes)
         << "second epoch allocated " << second.bytes << " of the first's "
         << first.bytes << " bytes";
-    // The second manager compiles nothing: the store hands it the
-    // program the first one compiled. What it still allocates is the
-    // standard plan and schema it builds to look that program up
-    // (368,392 bytes for RM5's 589 outputs) and its engine: 369,200
-    // bytes in all.
-    EXPECT_LT(second.bytes, size_t{384} << 10)
+    // The second manager compiles and builds nothing: the store answers
+    // its standard-plan lookup from the config's key and hands it the
+    // program the first one compiled (the plan and schema it used to
+    // build for that lookup were 368,392 bytes at RM5's 589 outputs).
+    // What it still allocates is its engine: 816-1,264 bytes.
+    EXPECT_LT(second.bytes, size_t{4} << 10)
         << "second epoch allocated " << second.bytes << " bytes";
 #if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
     // Sanitizer allocators map and poison memory their own way; the
@@ -752,12 +752,11 @@ TEST(ZeroAllocTest, SecondRingEpochOverAStoreReusesItsShells)
         << "second epoch allocated " << second.bytes << " of the first's "
         << first.bytes << " bytes";
     // The ring's queues and the reader's per-read lists are reused,
-    // and the store's compiled program is shared, so what a warmed
-    // epoch still allocates is the segment store's per-read copies
-    // (segment info, path, footer tail), the footer parse and the
-    // standard plan and schema the manager builds to look its program
-    // up (23,812 bytes): 88,112-88,120 bytes over the 6 partitions.
-    EXPECT_LT(second.bytes, size_t{96} << 10)
+    // and the store's compiled program is shared and looked up without
+    // building a plan, so what a warmed epoch still allocates is the
+    // segment store's per-read copies (segment info, path, footer
+    // tail) and the footer parse: 64,308 bytes over the 6 partitions.
+    EXPECT_LT(second.bytes, size_t{72} << 10)
         << "second epoch allocated " << second.bytes << " bytes";
 }
 

@@ -12,9 +12,18 @@ against the committed BENCH_*.json baselines:
 
     tools/check_bench_baselines.py BENCH_service.json /tmp/service.json
 
+A gate leaf that is an object with "ratio" and "band" keys is a banded
+ratio, a speedup timed within one process (BENCH_decode.json's
+bit_unpack w63_speedup): it passes when the run's ratio is at least the
+baseline's ratio * (1 - band), measured on the same SIMD "tier". A run
+on another tier measures another kernel, so there the band is reported
+as not applicable, and the bench's own per-tier floor still applies.
+Every other leaf must match exactly.
+
 Exit status: 0 when every gate subtree matches the baseline, 1 on any
-drift (a regressed gate, a silently dropped gate, or a new gate that
-should be baselined by re-committing the BENCH file).
+drift (a regressed gate, a ratio below its band, a silently dropped
+gate, or a new gate that should be baselined by re-committing the BENCH
+file).
 """
 
 import json
@@ -35,9 +44,30 @@ def gate_subtrees(node, path=""):
             yield from gate_subtrees(value, here)
 
 
+def is_banded(value):
+    """True for a banded-ratio gate leaf."""
+    return isinstance(value, dict) and "ratio" in value and "band" in value
+
+
+def banded_drift(want, got):
+    """Why a banded ratio fails against its baseline, or None."""
+    if not (is_banded(want) and is_banded(got)):
+        return f"baseline {want!r} -> run {got!r}"
+    if got.get("tier") != want.get("tier"):
+        return None
+    fixed = {k: v for k, v in want.items() if k != "ratio"}
+    if {k: v for k, v in got.items() if k != "ratio"} != fixed:
+        return f"baseline {want!r} -> run {got!r}"
+    low = want["ratio"] * (1 - want["band"])
+    if got["ratio"] < low:
+        return (f"ratio {got['ratio']} below the band: baseline "
+                f"{want['ratio']} - {want['band']:.0%} = {low:.2f}")
+    return None
+
+
 def flatten(tree, path=""):
-    """Flatten a gate subtree into {leaf_path: scalar}."""
-    if isinstance(tree, dict):
+    """Flatten a gate subtree into {leaf_path: scalar or banded ratio}."""
+    if isinstance(tree, dict) and not is_banded(tree):
         out = {}
         for key, value in tree.items():
             out.update(flatten(value, f"{path}/{key}"))
@@ -62,15 +92,20 @@ def compare(baseline_path, current_path):
     for path in sorted(base_flat.keys() | cur_flat.keys()):
         want = base_flat.get(path)
         got = cur_flat.get(path)
-        if want == got:
-            continue
         if path not in cur_flat:
             drift.append(f"  {path}: gate dropped (baseline: {want!r})")
         elif path not in base_flat:
             drift.append(
                 f"  {path}: new gate {got!r} — re-commit the baseline"
             )
-        else:
+        elif is_banded(want) or is_banded(got):
+            why = banded_drift(want, got)
+            if why is not None:
+                drift.append(f"  {path}: {why}")
+            elif got.get("tier") != want.get("tier"):
+                print(f"{path}: run on tier {got.get('tier')!r}, baseline "
+                      f"on {want.get('tier')!r}; band not applicable")
+        elif want != got:
             drift.append(f"  {path}: baseline {want!r} -> run {got!r}")
     return base_flat, drift
 
